@@ -3,7 +3,9 @@
     dqipe <experiment> [--d ...] [--k ...] [--seed ...] [--out path] ...
 
 Exit codes: 0 when the experiment's pass criterion holds, 1 when it
-fails, 2 on usage errors. DQIPE_SEED provides a default seed; a JSON
+fails, 2 on usage errors and on errors while running (a bad parameter, a
+dense-algebra budget exceeded, a transport that cannot connect), reported
+as one "dqipe: ..." line on stderr. DQIPE_SEED provides a default seed; a JSON
 config file given with --config supplies defaults that explicit flags
 override.
 """
@@ -73,13 +75,19 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"dqipe: {exc}", file=sys.stderr)
         return 2
-    result = run_experiment(config)
-    text = emit_result(result)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        # ValueError covers DenseBudgetError and WireError; OSError a refused
+        # connection or an unwritable --out
+        result = run_experiment(config)
+        text = emit_result(result)
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
+        print(f"dqipe: {exc}", file=sys.stderr)
+        return 2
     print(
         f"{config.experiment}: {'PASS' if result.passed else 'FAIL'}"
         f" ({result.wall_clock:.2f}s)",

@@ -291,18 +291,18 @@ def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[
     rows = []
     try:
         for t in range(config.trials):
-            tr = root.child(t)
-            phi, psi = est.make_state_pair(config.d, config.f, tr.child(0))
+            phi, psi = est.make_state_pair(config.d, config.f, root.child(t, 0))
+            run_rng = root.child(t, 1)
             run = run_protocol(
                 Smp(), alice, bob, referee,
-                {Role.ALICE: phi, Role.BOB: psi}, tr.child(1),
+                {Role.ALICE: phi, Role.BOB: psi}, run_rng,
                 transport=transport, run_id=f"trial{t}",
                 meta={"d": config.d, "k": k},
             )
             rows.append(
                 {
                     "trial": t,
-                    "seed_path": _seed_path_str(tr.child(1)),
+                    "seed_path": _seed_path_str(run_rng),
                     "w": run.result["w"],
                     "raw_stat": run.result["raw"],
                 }
@@ -325,18 +325,18 @@ def _run_estimate_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple
     rows = []
     try:
         for t in range(config.trials):
-            tr = root.child(t)
-            phi, psi = est.make_state_pair(config.d, config.f, tr.child(0))
+            phi, psi = est.make_state_pair(config.d, config.f, root.child(t, 0))
+            run_rng = root.child(t, 1)
             run = run_protocol(
                 Smp(), alice, bob, referee,
-                {Role.ALICE: phi, Role.BOB: psi}, tr.child(1),
+                {Role.ALICE: phi, Role.BOB: psi}, run_rng,
                 transport=transport, shared_randomness=True, run_id=f"trial{t}",
                 meta={"d": config.d, "n_bases": config.n_bases, "m": config.m},
             )
             rows.append(
                 {
                     "trial": t,
-                    "seed_path": _seed_path_str(tr.child(1)),
+                    "seed_path": _seed_path_str(run_rng),
                     "w": run.result["w"],
                     "raw_stat": run.result["raw"],
                 }

@@ -18,9 +18,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .estimators import STREAM_SHARED, STREAM_ALICE, STREAM_BOB, STREAM_REFEREE
 from .rng import RngStream
-from .wire import InprocTransport, decode_payload, encode_frame, make_frame
+from .wire import InprocTransport, decode_frame, decode_payload, encode_frame, make_frame
 
 __all__ = [
     "Role",
@@ -166,8 +168,6 @@ def run_protocol(
     def through_wire(sender, receiver, ptype, payload, round_):
         frame = make_frame(run_id, round_, sender.value, receiver.value, ptype, payload)
         line = transport.exchange(encode_frame(frame))
-        from .wire import decode_frame
-
         back = decode_frame(line)
         return back, len(line.encode("utf-8"))
 
@@ -211,10 +211,7 @@ def run_protocol(
             lambda: inbox_for(role), deliver,
         )
 
-    if isinstance(setting, Smp):
-        alice_strategy(ctx(Role.ALICE, STREAM_ALICE))
-        bob_strategy(ctx(Role.BOB, STREAM_BOB))
-    elif isinstance(setting, OneWay):
+    if isinstance(setting, (Smp, OneWay)):
         alice_strategy(ctx(Role.ALICE, STREAM_ALICE))
         bob_strategy(ctx(Role.BOB, STREAM_BOB))
     else:
@@ -240,8 +237,6 @@ def run_protocol(
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -329,8 +324,6 @@ def singlecopy_smp_strategies(d: int, n_bases: int, m: int):
     """SMP strategies reproducing the single-copy estimator bit for bit.
 
     Requires shared randomness (the measurement bases)."""
-    import numpy as np
-
     from .estimators import born_sample, classical_collision
     from .linalg import sample_haar_unitary
 

@@ -47,7 +47,6 @@ __all__ = [
     "chiribella_combination",
     "phi_t_state",
     "averaged_phase_state",
-    "partial_trace_first",
     "partial_trace_last",
 ]
 
@@ -288,13 +287,6 @@ def trace_distance_rho_u_block(d: int, k: int) -> float:
 def maximally_mixed_sym(d: int, k: int) -> DensityMatrix:
     """Maximally mixed state on the symmetric subspace."""
     return DensityMatrix(sym_projector(d, k) / sym_dimension(d, k))
-
-
-def partial_trace_first(op: np.ndarray, d: int, n_first: int, n_rest: int) -> np.ndarray:
-    """Trace out the first n_first tensor factors of an operator on
-    (C^d)^{⊗(n_first+n_rest)}."""
-    a, b = d**n_first, d**n_rest
-    return np.einsum("aiaj->ij", op.reshape(a, b, a, b))
 
 
 def partial_trace_last(op: np.ndarray, d: int, n_keep: int, n_last: int) -> np.ndarray:

@@ -6,10 +6,16 @@ Each frame is one JSON object per line:
 with complex amplitudes encoded as [re, im] pairs. Floats round-trip bit
 for bit through the encoder (json emits repr of the double), so an
 in-process transport is equivalent to running the computation directly.
+
+`encode_frame` output is canonical: decoding and re-encoding it gives the
+same line. So each in-process frame costs one encode and one validating
+decode (by the protocol harness); the in-process transport hands the line
+back unchanged, and a TCP collector's echo equals it byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import socketserver
@@ -28,8 +34,11 @@ class WireError(ValueError):
 
 def encode_payload(ptype: str, payload) -> object:
     if ptype == "state_vector":
-        arr = np.asarray(payload, dtype=complex)
-        return [[float(z.real), float(z.imag)] for z in arr]
+        arr = np.ascontiguousarray(payload, dtype=complex)
+        if arr.ndim != 1:
+            raise WireError(f"state_vector payload must be 1-D, got shape {arr.shape}")
+        # complex128 is (re, im) float64 pairs in memory; tolist keeps every bit
+        return arr.view(np.float64).reshape(-1, 2).tolist()
     if ptype == "outcomes":
         return [int(x) for x in payload]
     if ptype == "scalar":
@@ -41,7 +50,12 @@ def encode_payload(ptype: str, payload) -> object:
 
 def decode_payload(ptype: str, payload) -> object:
     if ptype == "state_vector":
-        return np.array([complex(re, im) for re, im in payload])
+        try:
+            return np.fromiter(
+                itertools.starmap(complex, payload), dtype=complex, count=len(payload)
+            )
+        except (TypeError, ValueError) as exc:
+            raise WireError(f"bad state_vector payload: {exc}") from exc
     if ptype == "outcomes":
         return np.array(payload, dtype=np.int64)
     if ptype == "scalar":
@@ -65,8 +79,13 @@ def make_frame(run: str, round_: int, sender: str, receiver: str, ptype: str, pa
     }
 
 
+# json.dumps(frame, sort_keys=True, separators=(",", ":")) without building
+# an encoder per frame; encode() keeps no state between calls
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_frame(frame: dict) -> str:
-    return json.dumps(frame, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(frame)
 
 
 def decode_frame(line: str) -> dict:
@@ -85,13 +104,13 @@ def decode_frame(line: str) -> dict:
 
 
 class InprocTransport:
-    """Encode/decode round trip without leaving the process."""
+    """Hands each frame line back unchanged, without leaving the process."""
 
     name = "inproc"
 
     def exchange(self, line: str) -> str:
-        # decode to validate, then hand the canonical encoding back
-        return encode_frame(decode_frame(line))
+        # encode_frame output is already canonical; the caller's decode validates
+        return line
 
     def close(self) -> None:
         pass
@@ -145,7 +164,8 @@ class _EchoHandler(socketserver.StreamRequestHandler):
 class FrameCollectorServer:
     """Threaded line server that validates, logs, and echoes frames.
 
-    Used by the tcp transport tests and by the CLI's tcp mode peer.
+    The peer for `--transport tcp:<host>:<port>`: the CLI only connects to
+    a collector, so start one yourself (as the tcp transport tests do).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):

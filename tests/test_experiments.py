@@ -192,7 +192,7 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     assert doc["passed"] is True
 
 
-def test_cli_fail_exit_code(tmp_path):
+def test_cli_fail_exit_code(tmp_path, capsys):
     # k=1 cannot decide the promise at d=64: case 1 success is far below 2/3
     out = tmp_path / "r.json"
     code = cli_main(
@@ -202,6 +202,26 @@ def test_cli_fail_exit_code(tmp_path):
         ]
     )
     assert code == 1
+    assert capsys.readouterr().err.startswith("dipe-threshold: FAIL")
+    assert json.loads(out.read_text())["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum-check", "--d", "12", "--k", "4"],  # DenseBudgetError
+        ["dipe-threshold", "--d", "1"],
+        ["estimate-multicopy", "--seed", "-1", "--trials", "2"],
+        # nothing listens on port 1: the connection is refused
+        ["estimate-multicopy", "--trials", "2", "--transport", "tcp:127.0.0.1:1"],
+    ],
+)
+def test_cli_run_errors_exit_2_with_one_line(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dqipe: ")
 
 
 def test_cli_usage_error_unknown_experiment():

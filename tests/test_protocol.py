@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqipe import estimators as est
-from dqipe import wire
+from dqipe import protocol, wire
 from dqipe.protocol import (
     Interactive,
     Message,
@@ -49,6 +49,26 @@ def test_state_vector_roundtrip_is_exact(re, im):
     back = wire.decode_frame(wire.encode_frame(frame))
     decoded = wire.decode_payload(back["type"], back["payload"])
     assert np.array_equal(decoded, vec)
+
+
+def test_state_vector_codec_is_bit_exact_at_the_edges():
+    vec = np.array([complex(-0.0, 5e-324), complex(1e308, -0.0), complex(-5e-324, -1e308), 0.1 + 0.2j])
+    payload = wire.encode_payload("state_vector", vec)
+    # the per-element encoding the codec replaced, kept as the reference
+    assert payload == [[float(z.real), float(z.imag)] for z in vec]
+    line = wire.encode_frame(wire.make_frame("r", 1, "alice", "referee", "state_vector", vec))
+    back = wire.decode_frame(line)
+    decoded = wire.decode_payload(back["type"], back["payload"])
+    assert decoded.dtype == complex
+    assert decoded.tobytes() == vec.tobytes()  # signed zeros and subnormals included
+
+
+def test_bad_state_vector_payloads_rejected():
+    with pytest.raises(wire.WireError):
+        wire.encode_payload("state_vector", np.eye(2))
+    for bad in ([[1.0, 2.0, 3.0]], [[None, 1.0]], [["1.0", "0.0"]], 1.0):
+        with pytest.raises(wire.WireError):
+            wire.decode_payload("state_vector", bad)
 
 
 def test_bad_frames_rejected():
@@ -251,3 +271,53 @@ def test_transcript_cost_counts_bytes():
     n, total = transcript_cost(t)
     assert n == 2
     assert total == sum(m.nbytes for m in t.messages) > 0
+
+
+def test_malformed_frame_on_inproc_path_raises(monkeypatch):
+    # the in-process transport hands lines back unchanged, so run_protocol's
+    # own decode is what validates each frame
+    phi, psi, rng = _pair()
+    a, b, ref = multicopy_smp_strategies(4)
+    monkeypatch.setattr(protocol, "encode_frame", lambda frame: wire.encode_frame(frame)[:-1])
+    with pytest.raises(wire.WireError):
+        run_protocol(Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng)
+
+
+class _Recording:
+    """Transport wrapper that keeps every (sent, returned) line."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lines = []
+
+    def exchange(self, line):
+        back = self.inner.exchange(line)
+        self.lines.append((line, back))
+        return back
+
+
+@pytest.mark.parametrize("case", ["smp-multicopy", "oneway-pi0"])
+def test_tcp_lines_equal_inproc_lines_byte_for_byte(case):
+    phi, psi, rng = _pair(seed=15, d=6, f=0.0)
+    setting, strategies = (
+        (Smp(), multicopy_smp_strategies(8)) if case == "smp-multicopy"
+        else (OneWay(), pi0_oneway_strategies(3))
+    )
+    inputs = {Role.ALICE: phi, Role.BOB: psi}
+    inproc = _Recording(wire.InprocTransport())
+    run_protocol(setting, *strategies, inputs, rng, transport=inproc, run_id="t0")
+
+    server = wire.FrameCollectorServer().start()
+    try:
+        tp = wire.open_transport(f"tcp:{server.address}")
+        try:
+            tcp = _Recording(tp)
+            run_protocol(setting, *strategies, inputs, rng, transport=tcp, run_id="t0")
+        finally:
+            tp.close()
+    finally:
+        server.stop()
+
+    assert len(inproc.lines) == 4  # hello, two party messages, result
+    assert tcp.lines == inproc.lines
+    assert all(sent == back for sent, back in inproc.lines)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,3 +41,31 @@ def test_child_does_not_disturb_parent():
     r2 = RngStream(3)
     r1.child(5)  # forking must not advance the parent generator
     assert np.array_equal(r1.rng.standard_normal(4), r2.rng.standard_normal(4))
+
+
+def test_draws_do_not_depend_on_what_else_was_drawn():
+    # a stream's Generator is built on its first draw; nothing drawn from the
+    # parent or a sibling before (or never) may shift it
+    untouched = RngStream(11).child(2, 1).rng.standard_normal(6)
+    root = RngStream(11)
+    parent = root.child(2)
+    sibling = parent.child(0)
+    root.rng.standard_normal(3)
+    sibling.rng.standard_normal(5)
+    parent.rng.standard_normal(7)
+    assert np.array_equal(parent.child(1).rng.standard_normal(6), untouched)
+
+
+def test_stream_bits_match_default_rng():
+    stream = RngStream(2**64 + 5, (7, 2**40))
+    expected = np.random.default_rng(np.random.SeedSequence(2**64 + 5, spawn_key=(7, 2**40)))
+    assert np.array_equal(stream.rng.random(8), expected.random(8))
+
+
+def test_negative_seed_or_path_rejected_at_construction():
+    with pytest.raises(ValueError):
+        RngStream(-1)
+    with pytest.raises(ValueError):
+        RngStream(3, (0, -2))
+    with pytest.raises(ValueError):
+        RngStream(3).child(-1)
