@@ -12,29 +12,25 @@ import json
 import math
 import pathlib
 
-from dqipe.experiments import gen_dipe_instance, wilson_interval
-from dqipe.estimators import dipe_decide_threshold
+from dqipe.experiments import dipe_threshold_hits, wilson_interval
 from dqipe.rng import RngStream
-from dqipe.symmetric import standard_povm_sample
 
 DEFAULTS_PATH = pathlib.Path(__file__).resolve().parents[1] / "src" / "dqipe" / "defaults.json"
 
 
-def success_lower_bound(d: int, c: int, trials: int, seed: int) -> float:
+def hit_counts(d: int, c: int, trials: int, seed: int) -> dict[int, int]:
+    """Correct decisions per case at k = c * ceil(sqrt(d)), drawn exactly as
+    `dqipe dipe-threshold --d d --k k --trials trials --seed seed` draws them."""
     k = c * math.ceil(math.sqrt(d))
-    worst = 1.0
     root = RngStream(seed)
-    for case in (1, 2):
-        hits = 0
-        for t in range(trials):
-            tr = root.child(case, t)
-            phi, psi = gen_dipe_instance(d, case, tr.child(0))
-            u = standard_povm_sample(phi, k, tr.child(1))
-            v = standard_povm_sample(psi, k, tr.child(2))
-            hits += dipe_decide_threshold(u, v, d) == case
-        lo, _ = wilson_interval(hits, trials)
-        worst = min(worst, lo)
-    return worst
+    return {case: dipe_threshold_hits(d, k, case, trials, root) for case in (1, 2)}
+
+
+def success_lower_bound(d: int, c: int, trials: int, seed: int) -> float:
+    return min(
+        wilson_interval(hits, trials)[0]
+        for hits in hit_counts(d, c, trials, seed).values()
+    )
 
 
 def main() -> None:

@@ -54,8 +54,7 @@ __all__ = [
     "wilson_interval",
     "gen_dipe_instance",
     "gen_problem1_instance",
-    "gen_swaplb_instance",
-    "sample_truncated_binomial",
+    "dipe_threshold_hits",
     "run_experiment",
     "emit_result",
     "parse_result",
@@ -197,27 +196,33 @@ def gen_problem1_instance(
     return build(theta, phi), build(theta2, psi)
 
 
-def gen_swaplb_instance(eps: float, which: int = 0) -> tuple[PureState, PureState]:
-    """Qubit pair whose squared overlap with |0> is 1/2 -+ eps; the two
-    variants have squared overlap 1 - 4 eps^2 with each other."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must be in (0, 1/2)")
-    if which not in (0, 1):
-        raise ValueError("which must be 0 or 1")
-    lo, hi = math.sqrt(0.5 - eps), math.sqrt(0.5 + eps)
-    amps = np.array([lo, hi]) if which == 0 else np.array([hi, lo])
-    return PureState(amps.astype(complex)), PureState(np.array([1.0, 0.0], dtype=complex))
+def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream) -> int:
+    """Trials of the given case that the threshold decider gets right.
 
-
-def sample_truncated_binomial(k: int, eps: float, m_cap: int, rng: RngStream) -> tuple[int, bool]:
-    """Binomial(k, eps) draw plus a flag marking draws above m_cap."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
-    t = int(rng.rng.binomial(k, eps))
-    return t, t > m_cap
+    Trial t draws the instance from root.child(case, t, 0) and the two POVM
+    outcomes from root.child(case, t, 1, STREAM_ALICE / STREAM_BOB); the
+    dipe-threshold experiment and scripts/calibrate_dipe.py both call this,
+    so the calibration replays the experiment's draws."""
+    hits = 0
+    for t in range(trials):
+        tr = root.child(case, t)
+        phi, psi = gen_dipe_instance(d, case, tr.child(0))
+        u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
+        v = sym.standard_povm_sample(psi, k, tr.child(1, est.STREAM_BOB))
+        hits += est.dipe_decide_threshold(u, v, d) == case
+    return hits
 
 
 # --- fast vectorized samplers for the variance checks ---
+#
+# The order in which these samplers draw from the Generator is part of
+# their output: a seeded run must give the same bits on every release, so
+# reordering, batching or resizing any draw changes every gate statistic.
+
+# Trials per post-draw block of _singlecopy_w_batch. LAPACK factors each
+# matrix on its own, so the result does not depend on it; it only bounds
+# the QR working set.
+_SINGLECOPY_BLOCK = 2048
 
 
 def _haar_pairs(d: int, f: float, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -244,20 +249,26 @@ def _povm_samples_batch(states: np.ndarray, k: int, g: np.random.Generator) -> n
 
 
 def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator) -> np.ndarray:
+    """Cross-collision estimates of n trials in one shared Haar basis each.
+
+    All Gaussians are drawn first. Then each block makes one multinomial
+    call on its (trial, party, outcome) probabilities, which numpy walks in
+    C order: trial i's Alice counts, then its Bob counts, as a per-trial
+    loop would draw them."""
     phi, psi = _haar_pairs(d, f, n, g)
     z = g.standard_normal((n, d, d)) + 1j * g.standard_normal((n, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("nii->ni", r)
-    u = q * (diag / np.abs(diag))[:, None, :]
-    p = np.abs(np.einsum("nbi,ni->nb", u, phi)) ** 2
-    qd = np.abs(np.einsum("nbi,ni->nb", u, psi)) ** 2
-    p /= p.sum(axis=1, keepdims=True)
-    qd /= qd.sum(axis=1, keepdims=True)
+    states = np.stack([phi, psi], axis=1)
     w = np.empty(n)
-    for i in range(n):
-        cx = g.multinomial(m, p[i])
-        cy = g.multinomial(m, qd[i])
-        w[i] = (d + 1) * float(cx @ cy) / m**2 - 1.0
+    for lo in range(0, n, _SINGLECOPY_BLOCK):
+        blk = slice(lo, lo + _SINGLECOPY_BLOCK)
+        q, r = np.linalg.qr(z[blk])
+        diag = np.einsum("nii->ni", r)
+        u = q * (diag / np.abs(diag))[:, None, :]
+        probs = np.abs(np.einsum("nbi,nsi->nsb", u, states[blk])) ** 2
+        probs /= probs.sum(axis=2, keepdims=True)
+        counts = g.multinomial(m, probs)
+        collisions = np.einsum("nb,nb->n", counts[:, 0], counts[:, 1]).astype(float)
+        w[blk] = (d + 1) * collisions / m**2 - 1.0
     return w
 
 
@@ -362,13 +373,7 @@ def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list
     summary: dict = {"k": k}
     ok = True
     for case in (1, 2):
-        hits = 0
-        for t in range(config.trials):
-            tr = root.child(case, t)
-            phi, psi = gen_dipe_instance(config.d, case, tr.child(0))
-            u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
-            v = sym.standard_povm_sample(psi, k, tr.child(1, est.STREAM_BOB))
-            hits += est.dipe_decide_threshold(u, v, config.d) == case
+        hits = dipe_threshold_hits(config.d, k, case, config.trials, root)
         lo, hi = wilson_interval(hits, config.trials)
         summary[f"success_rate_case{case}"] = hits / config.trials
         summary[f"wilson_lo_case{case}"] = lo

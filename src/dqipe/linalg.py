@@ -64,7 +64,8 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-9:
+        # written so that a NaN or infinite norm fails too
+        if not abs(norm2 - 1.0) <= 1e-9:
             raise ValueError(f"state vector not normalized: ||v||^2 = {norm2}")
         if abs(math.sqrt(norm2) - 1.0) > NORM_TOL:
             # renormalize tiny drift so downstream invariants hold exactly

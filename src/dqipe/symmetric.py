@@ -31,7 +31,6 @@ __all__ = [
     "SymBlockSpectrum",
     "sym_dimension",
     "type_vectors",
-    "permutation_operator",
     "sym_basis",
     "sym_projector",
     "standard_povm_sample",
@@ -87,26 +86,6 @@ def type_vectors(d: int, k: int) -> list[tuple[int, ...]]:
 
     rec((), k, d)
     return out
-
-
-def permutation_operator(pi: tuple[int, ...], d: int) -> np.ndarray:
-    """The d^k x d^k unitary permuting tensor factors by pi.
-
-    pi is given as a tuple of images: position j receives the factor that
-    was at position pi^{-1}(j).
-    """
-    k = len(pi)
-    _check_budget(d, k, "permutation_operator")
-    n = d**k
-    inv = [0] * k
-    for src, dst in enumerate(pi):
-        inv[dst] = src
-    op = np.zeros((n, n))
-    powers = [d ** (k - 1 - j) for j in range(k)]
-    for col, idx in enumerate(itertools.product(range(d), repeat=k)):
-        row = sum(idx[inv[j]] * powers[j] for j in range(k))
-        op[row, col] = 1.0
-    return op
 
 
 @dataclass(frozen=True)

@@ -79,13 +79,16 @@ def make_frame(run: str, round_: int, sender: str, receiver: str, ptype: str, pa
     }
 
 
-# json.dumps(frame, sort_keys=True, separators=(",", ":")) without building
-# an encoder per frame; encode() keeps no state between calls
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps(frame, sort_keys=True, separators=(",", ":"), allow_nan=False)
+# without building an encoder per frame; encode() keeps no state between calls
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def encode_frame(frame: dict) -> str:
-    return _ENCODER.encode(frame)
+    try:
+        return _ENCODER.encode(frame)
+    except ValueError as exc:  # NaN or infinity, which JSON cannot carry
+        raise WireError(f"unencodable frame: {exc}") from exc
 
 
 def decode_frame(line: str) -> dict:

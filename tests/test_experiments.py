@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -85,26 +87,83 @@ def test_problem1_case2_mean_overlap():
     assert xs.mean() == pytest.approx(want, abs=3 * se)
 
 
-def test_swaplb_instance_overlaps():
-    eps = 0.1
-    psi0, zero = ex.gen_swaplb_instance(eps, 0)
-    psi1, _ = ex.gen_swaplb_instance(eps, 1)
-    assert overlap2(psi0, zero) == pytest.approx(0.5 - eps, abs=1e-12)
-    assert overlap2(psi1, zero) == pytest.approx(0.5 + eps, abs=1e-12)
-    assert overlap2(psi0, psi1) == pytest.approx(1 - 4 * eps**2, abs=1e-12)
+def _load_calibrate_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "calibrate_dipe.py"
+    spec = importlib.util.spec_from_file_location("calibrate_dipe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_truncated_binomial():
-    r = RngStream(5)
-    t, flag = ex.sample_truncated_binomial(100, 0.0, 5, r)
-    assert t == 0 and not flag
-    draws = np.array(
-        [ex.sample_truncated_binomial(100, 0.1, 1000, r)[0] for _ in range(20000)]
+@pytest.mark.parametrize("seed", [7, 8])
+def test_calibration_replays_dipe_threshold_draws(seed):
+    # at c=5 (k=40) case 1 succeeds about half the time, so other draws
+    # would most likely give another hit count
+    d, c, trials = 64, 5, 60
+    hits = _load_calibrate_script().hit_counts(d, c, trials, seed)
+    k = c * math.ceil(math.sqrt(d))
+    cfg = ex.ExperimentConfig("dipe-threshold", d=d, k=k, trials=trials, seed=seed)
+    summary = ex.run_experiment(cfg).summary
+    for case in (1, 2):
+        assert hits[case] == round(summary[f"success_rate_case{case}"] * trials)
+
+
+# --- batch kernels ---
+
+
+def _singlecopy_w_loop(d, m, f, n, g):
+    """Per-trial form of the single-copy kernel: the reference its draw
+    order and arithmetic must match bit for bit."""
+    phi, psi = ex._haar_pairs(d, f, n, g)
+    z = g.standard_normal((n, d, d)) + 1j * g.standard_normal((n, d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("nii->ni", r)
+    u = q * (diag / np.abs(diag))[:, None, :]
+    p = np.abs(np.einsum("nbi,ni->nb", u, phi)) ** 2
+    qd = np.abs(np.einsum("nbi,ni->nb", u, psi)) ** 2
+    p /= p.sum(axis=1, keepdims=True)
+    qd /= qd.sum(axis=1, keepdims=True)
+    w = np.empty(n)
+    for i in range(n):
+        cx = g.multinomial(m, p[i])
+        cy = g.multinomial(m, qd[i])
+        w[i] = (d + 1) * float(cx @ cy) / m**2 - 1.0
+    return w
+
+
+_BLOCK = ex._SINGLECOPY_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("m", [1, 32])
+def test_singlecopy_batch_matches_per_trial_loop(n, d, m):
+    g_batch = np.random.default_rng([n, d, m])
+    g_loop = np.random.default_rng([n, d, m])
+    w = ex._singlecopy_w_batch(d, m, 0.3, n, g_batch)
+    want = _singlecopy_w_loop(d, m, 0.3, n, g_loop)
+    assert w.shape == (n,)
+    assert np.array_equal(w.view(np.int64), want.view(np.int64))
+    # the generator is left where the loop leaves it
+    assert g_batch.integers(2**62) == g_loop.integers(2**62)
+
+
+def test_variance_check_singlecopy_summary_pinned():
+    # 3000 trials span two blocks; values from the per-trial kernel
+    cfg = ex.ExperimentConfig(
+        "variance-check-singlecopy", d=8, m=32, f=0.5, trials=3000, seed=11
     )
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert draws.mean() == pytest.approx(10.0, abs=3 * se)
-    overflow = sum(ex.sample_truncated_binomial(100, 0.1, 20, r)[1] for _ in range(5000))
-    assert overflow / 5000 < 0.01
+    result = ex.run_experiment(cfg)
+    assert result.summary == {
+        "mean_w": 0.5013505859375,
+        "se": 0.008852661366396548,
+        "empirical_var": 0.23510883980427,
+        "exact_var": 0.2318964177911932,
+        "ratio": 1.0138528315515825,
+        "m": 32,
+        "f": 0.5,
+    }
+    assert result.passed
 
 
 # --- wilson intervals ---

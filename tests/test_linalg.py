@@ -55,6 +55,14 @@ def test_pure_state_rejects_bad_norm():
         PureState(np.array([1.0, 1.0], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError):
+        PureState(np.array([bad, 0.0]))
+    with pytest.raises(ValueError):
+        PureState(np.array([1.0, 1j * bad]))
+
+
 def test_pure_state_accepts_tiny_drift():
     v = np.array([1.0 + 3e-10, 0.0], dtype=complex)
     s = PureState(v)

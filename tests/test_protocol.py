@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,26 @@ def test_bad_state_vector_payloads_rejected():
     for bad in ([[1.0, 2.0, 3.0]], [[None, 1.0]], [["1.0", "0.0"]], 1.0):
         with pytest.raises(wire.WireError):
             wire.decode_payload("state_vector", bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payload_raises_wire_error(bad):
+    frame = wire.make_frame("r", 0, "alice", "referee", "state_vector", np.array([bad, 1.0]))
+    with pytest.raises(wire.WireError):
+        wire.encode_frame(frame)
+    with pytest.raises(wire.WireError):
+        wire.encode_frame(wire.make_frame("r", 0, "alice", "referee", "scalar", bad))
+
+
+def test_finite_frame_bytes_unchanged():
+    frame = wire.make_frame(
+        "r", 2, "alice", "referee", "state_vector", np.array([complex(-0.0, 5e-324), 1e308 - 0.5j])
+    )
+    assert wire.encode_frame(frame) == json.dumps(frame, sort_keys=True, separators=(",", ":"))
+    assert wire.encode_frame(frame) == (
+        '{"from":"alice","payload":[[-0.0,5e-324],[1e+308,-0.5]],"round":2,'
+        '"run":"r","to":"referee","type":"state_vector","v":1}'
+    )
 
 
 def test_bad_frames_rejected():

@@ -57,10 +57,10 @@ def test_permutation_operator_composition():
     tau = (0, 2, 1)
     composed = tuple(pi[tau[j]] for j in range(3))
     assert np.allclose(
-        sym.permutation_operator(pi, d) @ sym.permutation_operator(tau, d),
-        sym.permutation_operator(composed, d),
+        oracles._perm_operator(pi, d) @ oracles._perm_operator(tau, d),
+        oracles._perm_operator(composed, d),
     )
-    op = sym.permutation_operator(pi, d)
+    op = oracles._perm_operator(pi, d)
     assert np.allclose(op @ op.T, np.eye(d**3))
 
 
