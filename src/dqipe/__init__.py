@@ -20,7 +20,6 @@ from .estimators import (
     multicopy_variance_bound,
     singlecopy_estimate,
     singlecopy_variance_exact_pure,
-    swap_test,
     swap_test_variance,
     generalized_swap_variance,
     dipe_decide_threshold,

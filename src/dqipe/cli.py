@@ -40,9 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--f", type=float)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--setting", choices=["smp", "oneway", "interactive"]
-    )
     parser.add_argument("--transport", help="inproc or tcp:<host>:<port>")
     parser.add_argument("--out", help="result file path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], dest="fmt")
@@ -55,7 +52,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config) as fh:
             values.update(json.load(fh))
     for key in ("d", "k", "m", "n_bases", "eps", "f", "trials", "seed",
-                "setting", "transport", "out", "fmt"):
+                "transport", "out", "fmt"):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -64,7 +61,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         env = os.environ.get("DQIPE_SEED")
         if env is not None:
             values["seed"] = int(env)
-    return ExperimentConfig(**values)
+    return ExperimentConfig.from_dict(values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,8 +3,10 @@
 Two estimation routes: a multi-copy route where each party measures all
 k local copies with the continuous symmetric-subspace POVM, and a
 single-copy route built on cross-collision statistics of measurements in
-shared random bases. Plus the two-outcome SWAP test as a baseline and the
-threshold deciders for the orthogonal-vs-matching promise problem.
+shared random bases. Each route is split into a party step and a referee
+step, which the direct estimators and the protocol strategies both call.
+Plus the variance formulas, including the SWAP test's as a baseline, and
+the threshold deciders for the orthogonal-vs-matching promise problem.
 
 Randomness layout (shared with the protocol harness so that in-process
 protocol runs reproduce the direct calls bit for bit): child stream 0 is
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, overlap2, trace_inner, sample_haar_state
+from .linalg import (
+    PureState, DensityMatrix, overlap2, trace_inner, sample_haar_state, sample_haar_unitary,
+)
 from .rng import RngStream
 from .symmetric import standard_povm_sample
 
@@ -31,15 +35,17 @@ __all__ = [
     "EstimateRecord",
     "MulticopyConstants",
     "multicopy_constants",
+    "multicopy_referee",
     "multicopy_estimate",
     "multicopy_variance_exact",
     "multicopy_variance_bound",
+    "singlecopy_outcomes",
+    "singlecopy_referee",
     "singlecopy_estimate",
     "singlecopy_variance_exact_pure",
     "born_sample",
     "classical_collision",
     "collision_variance_bound",
-    "swap_test",
     "swap_test_variance",
     "generalized_swap_variance",
     "dipe_decide_threshold",
@@ -83,6 +89,10 @@ class MulticopyConstants:
     mean_a: float  # intercept of E|<u|v>|^2 = mean_a + mean_b * f
     mean_b: float
 
+    def estimate(self, x):
+        """The unbiased estimate for a squared overlap x (scalar or array)."""
+        return self.slope * x - self.offset
+
 
 def multicopy_constants(d: int, k: int) -> MulticopyConstants:
     if d < 1 or k < 1:
@@ -118,11 +128,15 @@ def multicopy_estimate(
         )
     u = standard_povm_sample(phi, k, rng.child(STREAM_ALICE))
     v = standard_povm_sample(psi, k, rng.child(STREAM_BOB))
+    w, x = multicopy_referee(u, v, k)
+    return EstimateRecord(value=w, raw=x, d=d, k=k, seed=rng.seed, path=rng.path)
+
+
+def multicopy_referee(u: PureState, v: PureState, k: int) -> tuple[float, float]:
+    """Referee step of the multi-copy route: (estimate, squared overlap) of
+    the two parties' POVM outcomes."""
     x = overlap2(u, v)
-    c = multicopy_constants(d, k)
-    return EstimateRecord(
-        value=c.slope * x - c.offset, raw=x, d=d, k=k, seed=rng.seed, path=rng.path
-    )
+    return multicopy_constants(u.dim, k).estimate(x), x
 
 
 def multicopy_variance_exact(d: int, k: int, f: float) -> float:
@@ -225,21 +239,35 @@ def singlecopy_estimate(
             value=1.0, raw=1.0, d=d, k=1, n_bases=n_bases, m=m,
             seed=rng.seed, path=rng.path, degenerate=True,
         )
-    from .linalg import sample_haar_unitary
-
-    vals = np.empty(n_bases)
-    raws = np.empty(n_bases)
-    for i in range(n_bases):
-        u = sample_haar_unitary(d, rng.child(STREAM_SHARED, i))
-        x = born_sample(rho_m, u, m, rng.child(STREAM_ALICE, i))
-        y = born_sample(sigma_m, u, m, rng.child(STREAM_BOB, i))
-        g = classical_collision(x, y)
-        raws[i] = g
-        vals[i] = (d + 1) * g - 1.0
+    shared = rng.child(STREAM_SHARED)
+    x = singlecopy_outcomes(rho_m, n_bases, m, shared, rng.child(STREAM_ALICE))
+    y = singlecopy_outcomes(sigma_m, n_bases, m, shared, rng.child(STREAM_BOB))
+    w, raw = singlecopy_referee(x, y, d)
     return EstimateRecord(
-        value=float(vals.mean()), raw=float(raws.mean()), d=d, k=1,
-        n_bases=n_bases, m=m, seed=rng.seed, path=rng.path,
+        value=w, raw=raw, d=d, k=1, n_bases=n_bases, m=m, seed=rng.seed, path=rng.path,
     )
+
+
+def singlecopy_outcomes(
+    rho: DensityMatrix, n_bases: int, m: int, shared: RngStream, rng: RngStream
+) -> np.ndarray:
+    """Party step of the single-copy route: an (n_bases, m) array of outcomes.
+
+    Basis i is the Haar unitary drawn from shared.child(i); its m shots
+    come from rng.child(i)."""
+    out = np.empty((n_bases, m), dtype=np.int64)
+    for i in range(n_bases):
+        u = sample_haar_unitary(rho.dim, shared.child(i))
+        out[i] = born_sample(rho, u, m, rng.child(i))
+    return out
+
+
+def singlecopy_referee(x: np.ndarray, y: np.ndarray, d: int) -> tuple[float, float]:
+    """Referee step of the single-copy route: (estimate, raw collision
+    fraction), each averaged over the rows (bases) of the two outcome arrays."""
+    raws = np.array([classical_collision(xi, yi) for xi, yi in zip(x, y)])
+    vals = (d + 1) * raws - 1.0
+    return float(vals.mean()), float(raws.mean())
 
 
 def singlecopy_variance_exact_pure(d: int, m: int, f: float) -> float:
@@ -259,20 +287,6 @@ def singlecopy_variance_exact_pure(d: int, m: int, f: float) -> float:
         / (d * (d + 1) * (d + 2) * (d + 3))
     )
     return base_var + second
-
-
-def swap_test(f: float, k: int, rng: RngStream) -> float:
-    """Simulated SWAP-test estimate of a squared overlap f from k trials.
-
-    Each trial accepts with probability (1+f)/2; the estimate
-    1 - 2 * (rejection fraction) is unbiased with variance (1-f^2)/k.
-    """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("f must lie in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rejects = rng.rng.random(k) >= (1.0 + f) / 2.0
-    return 1.0 - 2.0 * float(rejects.mean())
 
 
 def swap_test_variance(f: float, k: int) -> float:

@@ -93,7 +93,6 @@ class ExperimentConfig:
     f: float = 0.5
     trials: int = 1000
     seed: int = 0
-    setting: str = "smp"
     transport: str = "inproc"
     out: str | None = None
     fmt: str = "json"
@@ -113,7 +112,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**data)
+        # documents written before the unused "setting" field was dropped carry it
+        return cls(**{k: v for k, v in data.items() if k != "setting"})
 
 
 @dataclass
@@ -277,8 +277,7 @@ def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator)
     u = _povm_samples_batch(phi, k, g)
     v = _povm_samples_batch(psi, k, g)
     x = np.abs(np.einsum("nd,nd->n", u.conj(), v)) ** 2
-    c = est.multicopy_constants(d, k)
-    return c.slope * x - c.offset
+    return est.multicopy_constants(d, k).estimate(x)
 
 
 # --- the experiments ---
@@ -295,10 +294,14 @@ def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
     return mean, var, se
 
 
-def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
-    k = config.k if config.k > 0 else 8
+def _run_estimate(
+    config: ExperimentConfig, root: RngStream, strategies, params: dict,
+    shared_randomness: bool = False,
+) -> tuple[list, dict, bool]:
+    """Run an SMP estimation protocol once per trial; params are the
+    estimator's parameters, reported in each hello frame and the summary."""
     transport = open_transport(config.transport)
-    alice, bob, referee = multicopy_smp_strategies(k)
+    alice, bob, referee = strategies
     rows = []
     try:
         for t in range(config.trials):
@@ -307,8 +310,8 @@ def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[
             run = run_protocol(
                 Smp(), alice, bob, referee,
                 {Role.ALICE: phi, Role.BOB: psi}, run_rng,
-                transport=transport, run_id=f"trial{t}",
-                meta={"d": config.d, "k": k},
+                transport=transport, shared_randomness=shared_randomness,
+                run_id=f"trial{t}", meta={"d": config.d, **params},
             )
             rows.append(
                 {
@@ -325,44 +328,30 @@ def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[
     passed = se == 0.0 or abs(mean - config.f) <= 4.0 * se
     summary = {
         "mean_w": mean, "var_w": var, "se": se,
-        "target_f": config.f, "k": k, "trials": config.trials,
+        "target_f": config.f, **params, "trials": config.trials,
     }
     return rows, summary, passed
+
+
+def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
+    k = config.k if config.k > 0 else 8
+    return _run_estimate(config, root, multicopy_smp_strategies(k), {"k": k})
 
 
 def _run_estimate_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
-    transport = open_transport(config.transport)
-    alice, bob, referee = singlecopy_smp_strategies(config.d, config.n_bases, config.m)
-    rows = []
-    try:
-        for t in range(config.trials):
-            phi, psi = est.make_state_pair(config.d, config.f, root.child(t, 0))
-            run_rng = root.child(t, 1)
-            run = run_protocol(
-                Smp(), alice, bob, referee,
-                {Role.ALICE: phi, Role.BOB: psi}, run_rng,
-                transport=transport, shared_randomness=True, run_id=f"trial{t}",
-                meta={"d": config.d, "n_bases": config.n_bases, "m": config.m},
-            )
-            rows.append(
-                {
-                    "trial": t,
-                    "seed_path": _seed_path_str(run_rng),
-                    "w": run.result["w"],
-                    "raw_stat": run.result["raw"],
-                }
-            )
-    finally:
-        transport.close()
-    w = np.array([r["w"] for r in rows])
-    mean, var, se = _summary_stats(w)
-    passed = se == 0.0 or abs(mean - config.f) <= 4.0 * se
-    summary = {
-        "mean_w": mean, "var_w": var, "se": se,
-        "target_f": config.f, "n_bases": config.n_bases, "m": config.m,
-        "trials": config.trials,
-    }
-    return rows, summary, passed
+    strategies = singlecopy_smp_strategies(config.d, config.n_bases, config.m)
+    params = {"n_bases": config.n_bases, "m": config.m}
+    return _run_estimate(config, root, strategies, params, shared_randomness=True)
+
+
+def _record_case(summary: dict, case: int, hits: int, trials: int) -> float:
+    """Store one case's success rate and Wilson interval in the summary;
+    return the interval's lower end."""
+    lo, hi = wilson_interval(hits, trials)
+    summary[f"success_rate_case{case}"] = hits / trials
+    summary[f"wilson_lo_case{case}"] = lo
+    summary[f"wilson_hi_case{case}"] = hi
+    return lo
 
 
 def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
@@ -374,11 +363,7 @@ def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list
     ok = True
     for case in (1, 2):
         hits = dipe_threshold_hits(config.d, k, case, config.trials, root)
-        lo, hi = wilson_interval(hits, config.trials)
-        summary[f"success_rate_case{case}"] = hits / config.trials
-        summary[f"wilson_lo_case{case}"] = lo
-        summary[f"wilson_hi_case{case}"] = hi
-        ok = ok and lo >= 2.0 / 3.0
+        ok = _record_case(summary, case, hits, config.trials) >= 2.0 / 3.0 and ok
     return [], summary, ok
 
 
@@ -406,10 +391,7 @@ def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
                     # independent state and the state Alice measured
                     u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
                     gaps[t] = est.pi0_reject_probability(u, psi, k) - est.pi0_reject_probability(u, phi, k)
-            lo, hi = wilson_interval(hits, config.trials)
-            summary[f"success_rate_case{case}"] = hits / config.trials
-            summary[f"wilson_lo_case{case}"] = lo
-            summary[f"wilson_hi_case{case}"] = hi
+            _record_case(summary, case, hits, config.trials)
     finally:
         transport.close()
     gap_mean, _, gap_se = _summary_stats(gaps)
@@ -552,11 +534,7 @@ def _run_problem1(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
             rec = est.multicopy_estimate(a, b, k, tr.child(1))
             decided = 2 if abs(rec.value - center) <= window else 1
             hits += decided == case
-        lo, hi = wilson_interval(hits, config.trials)
-        summary[f"success_rate_case{case}"] = hits / config.trials
-        summary[f"wilson_lo_case{case}"] = lo
-        summary[f"wilson_hi_case{case}"] = hi
-        ok = ok and lo >= 2.0 / 3.0
+        ok = _record_case(summary, case, hits, config.trials) >= 2.0 / 3.0 and ok
     return [], summary, ok
 
 

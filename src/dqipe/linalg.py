@@ -21,8 +21,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "is_hermitian",
-    "is_unitary",
-    "is_psd",
     "sample_haar_state",
     "sample_haar_unitary",
     "overlap2",
@@ -39,19 +37,6 @@ PSD_TOL = 1e-9
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    if m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return np.max(np.abs(m.conj().T @ m - eye)) <= tol
-
-
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    if not is_hermitian(m):
-        return False
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import STREAM_SHARED, STREAM_ALICE, STREAM_BOB, STREAM_REFEREE
+from .estimators import (
+    STREAM_SHARED, STREAM_ALICE, STREAM_BOB, STREAM_REFEREE,
+    dipe_decide_pi0, multicopy_referee, singlecopy_outcomes, singlecopy_referee,
+)
+from .linalg import PureState
 from .rng import RngStream
+from .symmetric import standard_povm_sample
 from .wire import InprocTransport, decode_frame, decode_payload, encode_frame, make_frame
 
 __all__ = [
@@ -29,7 +34,6 @@ __all__ = [
     "Smp",
     "OneWay",
     "Interactive",
-    "parse_setting",
     "Message",
     "Transcript",
     "ProtocolViolation",
@@ -72,18 +76,6 @@ class Interactive:
 
 
 Setting = Smp | OneWay | Interactive
-
-
-def parse_setting(text: str) -> Setting:
-    if text == "smp":
-        return Smp()
-    if text == "oneway":
-        return OneWay()
-    if text == "interactive":
-        return Interactive()
-    if text.startswith("interactive:"):
-        return Interactive(max_rounds=int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown setting {text!r}")
 
 
 @dataclass(frozen=True)
@@ -301,21 +293,15 @@ def transcript_cost(t: Transcript) -> tuple[int, int]:
 
 def multicopy_smp_strategies(k: int):
     """SMP strategies reproducing the multi-copy estimator bit for bit."""
-    from .estimators import multicopy_constants
-    from .linalg import PureState, overlap2
-    from .symmetric import standard_povm_sample
 
     def party(ctx: PartyContext):
         u = standard_povm_sample(ctx.input, k, ctx.rng)
         ctx.send(Role.REFEREE, "state_vector", u.amplitudes)
 
     def referee(ctx: PartyContext):
-        by_sender = {m.sender: m.payload for m in ctx.inbox}
-        u = PureState(by_sender[Role.ALICE])
-        v = PureState(by_sender[Role.BOB])
-        x = overlap2(u, v)
-        c = multicopy_constants(u.dim, k)
-        return {"w": c.slope * x - c.offset, "raw": x}
+        by_sender = {m.sender: PureState(m.payload) for m in ctx.inbox}
+        w, x = multicopy_referee(by_sender[Role.ALICE], by_sender[Role.BOB], k)
+        return {"w": w, "raw": x}
 
     return party, party, referee
 
@@ -324,28 +310,20 @@ def singlecopy_smp_strategies(d: int, n_bases: int, m: int):
     """SMP strategies reproducing the single-copy estimator bit for bit.
 
     Requires shared randomness (the measurement bases)."""
-    from .estimators import born_sample, classical_collision
-    from .linalg import sample_haar_unitary
 
     def party(ctx: PartyContext):
         rho = ctx.input.density() if hasattr(ctx.input, "density") else ctx.input
-        outcomes = []
-        for i in range(n_bases):
-            u = sample_haar_unitary(d, ctx.shared.child(i))
-            outcomes.extend(int(b) for b in born_sample(rho, u, m, ctx.rng.child(i)))
-        ctx.send(Role.REFEREE, "outcomes", outcomes)
+        if rho.dim != d:
+            raise ValueError(
+                f"{ctx.role.value}'s input has dimension {rho.dim}, strategies built for d={d}"
+            )
+        outcomes = singlecopy_outcomes(rho, n_bases, m, ctx.shared, ctx.rng)
+        ctx.send(Role.REFEREE, "outcomes", outcomes.ravel())
 
     def referee(ctx: PartyContext):
-        by_sender = {m_.sender: np.asarray(m_.payload) for m_ in ctx.inbox}
-        xs = by_sender[Role.ALICE].reshape(n_bases, m)
-        ys = by_sender[Role.BOB].reshape(n_bases, m)
-        vals = np.empty(n_bases)
-        raws = np.empty(n_bases)
-        for i in range(n_bases):
-            g = classical_collision(xs[i], ys[i])
-            raws[i] = g
-            vals[i] = (d + 1) * g - 1.0
-        return {"w": float(vals.mean()), "raw": float(raws.mean())}
+        by_sender = {m_.sender: m_.payload.reshape(n_bases, m) for m_ in ctx.inbox}
+        w, raw = singlecopy_referee(by_sender[Role.ALICE], by_sender[Role.BOB], d)
+        return {"w": w, "raw": raw}
 
     return party, party, referee
 
@@ -353,9 +331,6 @@ def singlecopy_smp_strategies(d: int, n_bases: int, m: int):
 def pi0_oneway_strategies(k: int):
     """One-way decider: Alice sends her POVM outcome, Bob tests his copies
     against it and reports the case label."""
-    from .estimators import dipe_decide_pi0
-    from .linalg import PureState
-    from .symmetric import standard_povm_sample
 
     def alice(ctx: PartyContext):
         u = standard_povm_sample(ctx.input, k, ctx.rng)

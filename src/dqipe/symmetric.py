@@ -1,9 +1,8 @@
 """Exact constructions on the symmetric subspace of (C^d)^{⊗k}.
 
 Projectors, the continuous tomography POVM sampler, the block-diagonal
-post-measurement state and its spectrum, measure-and-prepare and cloning
-channels, and the phase-averaged superposition states used as hard
-decision instances.
+post-measurement state and its spectrum, and the measure-and-prepare and
+cloning channels.
 
 Dense operations on (C^d)^{⊗k} refuse to run when d^k exceeds
 DENSE_BUDGET; closed-form paths (dimensions, block coefficients, block
@@ -21,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, sample_beta, HERM_TOL
+from .linalg import PureState, DensityMatrix, sample_beta
 from .rng import RngStream
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "mp_channel",
     "clone_channel",
     "chiribella_combination",
-    "phi_t_state",
-    "averaged_phase_state",
     "partial_trace_last",
 ]
 
@@ -343,42 +340,3 @@ def chiribella_combination(rho: DensityMatrix, d: int, k: int) -> DensityMatrix:
     acc = (acc + acc.conj().T) / 2
     return DensityMatrix(acc)
 
-
-def phi_t_state(phi: PureState, k: int, t: int) -> PureState:
-    """Uniform superposition with phi in t of k registers and e_0 elsewhere.
-
-    Requires <e_0|phi> = 0; subsets are enumerated lexicographically.
-    """
-    d = phi.dim
-    if abs(phi.amplitudes[0]) > HERM_TOL:
-        raise ValueError("phi must be orthogonal to the first basis state")
-    if not 0 <= t <= k:
-        raise ValueError(f"t={t} out of range [0, {k}]")
-    _check_budget(d, k, "phi_t_state")
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1.0
-    vec = np.zeros(d**k, dtype=complex)
-    for subset in itertools.combinations(range(k), t):
-        factors = [phi.amplitudes if j in subset else e0 for j in range(k)]
-        vec += reduce(np.kron, factors) if k > 0 else np.ones(1, dtype=complex)
-    vec /= math.sqrt(math.comb(k, t))
-    return PureState(vec)
-
-
-def averaged_phase_state(phi: PureState, eps: float, k: int) -> DensityMatrix:
-    """Binomial mixture over t of the t-register superposition states.
-
-    Equals the phase average of (sqrt(1-eps) e^{i theta} e_0 +
-    sqrt(eps) phi)^{⊗k} over a uniform theta.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    d = phi.dim
-    _check_budget(d, k, "averaged_phase_state")
-    n = d**k
-    acc = np.zeros((n, n), dtype=complex)
-    for t in range(k + 1):
-        weight = math.comb(k, t) * eps**t * (1.0 - eps) ** (k - t)
-        v = phi_t_state(phi, k, t).amplitudes
-        acc += weight * np.outer(v, v.conj())
-    return DensityMatrix(acc)

@@ -155,14 +155,6 @@ def test_singlecopy_anchor_value():
     )
 
 
-def test_swap_test_statistics():
-    r = RngStream(77)
-    assert est.swap_test(1.0, 50, r) == 1.0
-    vals = np.array([est.swap_test(0.5, 100, r) for _ in range(20000)])
-    assert vals.mean() == pytest.approx(0.5, abs=4 * vals.std() / math.sqrt(vals.size))
-    assert vals.var() == pytest.approx(est.swap_test_variance(0.5, 100), rel=0.08)
-
-
 @given(f=overlaps, seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_generalized_swap_variance_k1_matches_two_outcome_test(f, seed):

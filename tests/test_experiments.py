@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqipe import experiments as ex
+from dqipe import wire
 from dqipe.cli import main as cli_main
 from dqipe.linalg import overlap2
 from dqipe.rng import RngStream
@@ -214,6 +216,22 @@ def test_csv_roundtrip_summary_only():
     assert back.config == r.config and back.summary == r.summary
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_documents_with_dropped_setting_key_still_parse(fmt):
+    r = _result(fmt)
+    text = ex.emit_result(r)
+    if fmt == "json":
+        doc = json.loads(text)
+        doc["config"] = {**doc["config"], "setting": "smp"}
+        old = json.dumps(doc, indent=2)
+    else:
+        head, rest = text.split("\n", 1)
+        config = json.loads(head[len("# config: "):])
+        old = f"# config: {json.dumps({**config, 'setting': 'smp'})}\n{rest}"
+    assert '"setting": "smp"' in old
+    assert ex.parse_result(old).content_equal(r)
+
+
 def test_same_config_same_output():
     a, b = _result("csv"), _result("csv")
     assert ex.emit_result(a) == ex.emit_result(b)
@@ -289,6 +307,12 @@ def test_cli_usage_error_unknown_experiment():
     assert exc.value.code == 2
 
 
+def test_cli_setting_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["estimate-multicopy", "--setting", "interactive", "--trials", "2"])
+    assert exc.value.code == 2
+
+
 def test_cli_usage_error_bad_config(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text('{"trials": 0}')
@@ -298,7 +322,8 @@ def test_cli_usage_error_bad_config(tmp_path):
 
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"d": 25, "k": 3, "seed": 1, "fmt": "json"}))
+    # a "setting" key, which older versions read, is accepted and ignored
+    cfg.write_text(json.dumps({"d": 25, "k": 3, "seed": 1, "fmt": "json", "setting": "smp"}))
     out = tmp_path / "r.json"
     code = cli_main(
         ["tracedist-check", "--config", str(cfg), "--d", "3", "--k", "2",
@@ -314,3 +339,39 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert cli_main(["tracedist-check", "--d", "25", "--k", "3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 777
+
+
+# Seeded output pinned byte for byte: the sha256 of every in-process frame
+# line, concatenated in send order, and of each result document without its
+# wall_clock, re-serialised with indent=2. A change that alters any of them
+# changes every downstream statistic, so it must re-pin these on purpose.
+_PINNED_RUNS = [
+    (["estimate-multicopy", "--trials", "30"],
+     "38991a8e8cb04e001f2fdf855398212ee33e0aef2d60479a62cfc0eeaf228fa9"),
+    (["estimate-singlecopy", "--d", "8", "--m", "32", "--n-bases", "3", "--trials", "30"],
+     "60b547063df99f2f677ebff5bb9901047efee913dd3fc553f816fc330d2a9ca0"),
+    (["dipe-pi0", "--d", "8", "--trials", "30"],
+     "1dedb5821e75262de2c8fe40e505309698cb84775e26cbaf3dddb35cd27753e6"),
+]
+_PINNED_FRAMES = "358759202598973f08ac9ad23367f0c4af8ae1b3fa4d1c466a2030535363bf7a"
+
+
+def test_seeded_frames_and_results_pinned(monkeypatch, capsys):
+    frames = hashlib.sha256()
+    count = 0
+    exchange = wire.InprocTransport.exchange
+
+    def recording(self, line):
+        nonlocal count
+        frames.update(line.encode("utf-8"))
+        count += 1
+        return exchange(self, line)
+
+    monkeypatch.setattr(wire.InprocTransport, "exchange", recording)
+    for argv, want in _PINNED_RUNS:
+        assert cli_main(argv + ["--seed", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["wall_clock"]
+        assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == want, argv[0]
+    assert count == 480
+    assert frames.hexdigest() == _PINNED_FRAMES

@@ -10,8 +10,6 @@ from dqipe.linalg import (
     PureState,
     dmax,
     is_hermitian,
-    is_psd,
-    is_unitary,
     overlap2,
     sample_beta,
     sample_haar_state,
@@ -36,7 +34,7 @@ def test_haar_state_unit_norm(d, seed):
 @settings(max_examples=25, deadline=None)
 def test_haar_unitary_is_unitary(d, seed):
     u = sample_haar_unitary(d, RngStream(seed))
-    assert is_unitary(u)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
 
 
 def test_haar_unitary_phase_convention_nondegenerate():
@@ -138,6 +136,6 @@ def test_random_density_predicates(d, seed):
     m = z @ z.conj().T
     m /= np.trace(m).real
     assert is_hermitian(m)
-    assert is_psd(m)
+    assert np.linalg.eigvalsh(m)[0] >= -1e-9
     rho = DensityMatrix(m)
     assert rho.dim == d

@@ -17,7 +17,6 @@ from dqipe.protocol import (
     Smp,
     Transcript,
     multicopy_smp_strategies,
-    parse_setting,
     pi0_oneway_strategies,
     run_protocol,
     singlecopy_smp_strategies,
@@ -108,14 +107,6 @@ def test_bad_frames_rejected():
         wire.make_frame("r", 0, "alice", "bob", "telepathy", None)
 
 
-def test_parse_setting():
-    assert parse_setting("smp") == Smp()
-    assert parse_setting("oneway") == OneWay()
-    assert parse_setting("interactive:5") == Interactive(max_rounds=5)
-    with pytest.raises(ValueError):
-        parse_setting("psychic")
-
-
 # --- validator on canned transcripts ---
 
 
@@ -176,14 +167,26 @@ def test_multicopy_smp_bit_identical_to_direct():
 
 def test_singlecopy_smp_bit_identical_to_direct():
     phi, psi, rng = _pair(seed=6)
-    direct = est.singlecopy_estimate(phi, psi, 3, 16, rng)
-    a, b, ref = singlecopy_smp_strategies(8, 3, 16)
-    t = run_protocol(
-        Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
-        shared_randomness=True,
-    )
-    assert t.result["w"] == direct.value
-    assert t.shared_seed == (rng.seed, rng.child(est.STREAM_SHARED).path)
+    for n_bases in (1, 3):
+        direct = est.singlecopy_estimate(phi, psi, n_bases, 16, rng)
+        a, b, ref = singlecopy_smp_strategies(8, n_bases, 16)
+        t = run_protocol(
+            Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
+            shared_randomness=True,
+        )
+        assert t.result["w"] == direct.value
+        assert t.result["raw"] == direct.raw
+        assert t.shared_seed == (rng.seed, rng.child(est.STREAM_SHARED).path)
+
+
+def test_singlecopy_smp_rejects_input_of_another_dimension():
+    phi, psi, rng = _pair(d=4)
+    a, b, ref = singlecopy_smp_strategies(8, 1, 16)
+    with pytest.raises(ValueError, match="dimension 4.*d=8"):
+        run_protocol(
+            Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
+            shared_randomness=True,
+        )
 
 
 def test_pi0_oneway_two_messages():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dqipe import oracles
 from dqipe import symmetric as sym
-from dqipe.linalg import DensityMatrix, PureState, overlap2, sample_haar_state
+from dqipe.linalg import DensityMatrix, overlap2, sample_haar_state
 from dqipe.rng import RngStream
 
 small_dk = st.tuples(
@@ -180,51 +180,6 @@ def test_chiribella_combination_matches_mp():
     rho = DensityMatrix(m)
     assert np.max(np.abs(sym.mp_channel(rho, d, k).matrix
                          - sym.chiribella_combination(rho, d, k).matrix)) <= 1e-10
-
-
-def test_phi_t_overlap_power_identity():
-    d, k = 4, 3
-    r = RngStream(21)
-    g = r.rng
-
-    def tail_state():
-        z = g.standard_normal(d) + 1j * g.standard_normal(d)
-        z[0] = 0.0
-        return PureState(z / np.linalg.norm(z))
-
-    phi, phi2 = tail_state(), tail_state()
-    inner = np.vdot(phi2.amplitudes, phi.amplitudes)
-    for t in range(k + 1):
-        a = sym.phi_t_state(phi, k, t)
-        b = sym.phi_t_state(phi2, k, t)
-        assert np.vdot(b.amplitudes, a.amplitudes) == pytest.approx(inner**t, abs=1e-10)
-
-
-def test_phi_t_requires_orthogonality():
-    with pytest.raises(ValueError):
-        sym.phi_t_state(PureState(np.array([1.0, 0.0], dtype=complex)), 2, 1)
-
-
-def test_averaged_phase_state_matches_quadrature():
-    # the binomial block mixture must equal the uniform phase average of
-    # the product state, computed here by quadrature
-    d, k, eps = 3, 2, 0.3
-    g = RngStream(30).rng
-    z = g.standard_normal(d) + 1j * g.standard_normal(d)
-    z[0] = 0.0
-    phi = PureState(z / np.linalg.norm(z))
-    mixed = sym.averaged_phase_state(phi, eps, k)
-
-    grid = 64
-    acc = np.zeros((d**k, d**k), dtype=complex)
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1.0
-    for j in range(grid):
-        theta = 2 * np.pi * (j + 0.5) / grid
-        v = math.sqrt(1 - eps) * np.exp(1j * theta) * e0 + math.sqrt(eps) * phi.amplitudes
-        vk = np.kron(v, v)
-        acc += np.outer(vk, vk.conj()) / grid
-    assert np.max(np.abs(mixed.matrix - acc)) <= 1e-10
 
 
 def test_dense_budget_guard():
