@@ -437,6 +437,12 @@ def _run_variance_check_swap(config: ExperimentConfig, root: RngStream) -> tuple
 
 def _run_spectrum_check(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 2
+    # the oracle builds the symmetric projector on 2k factors: mp_channel's rule
+    if config.d ** (2 * k) > sym.DENSE_BUDGET:
+        raise sym.DenseBudgetError(
+            f"spectrum-check: oracle d^(2k) = {config.d}^{2 * k}"
+            f" exceeds dense budget {sym.DENSE_BUDGET}"
+        )
     u = sample_haar_state(config.d, root.child(0))
     rho = sym.rho_u_closed_form(u, k)
     spec = sym.block_spectrum(config.d, k)

@@ -39,6 +39,22 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
 
 
+def _is_psd(m: np.ndarray, tol: float) -> bool:
+    """eigvalsh(m)[0] >= -tol, decided by a Cholesky factorisation when it can be.
+
+    Cholesky of m + tol*I succeeds only when every eigenvalue of m exceeds
+    -tol, so success accepts; on failure eigvalsh decides. Both read only
+    the lower triangle, and m itself is never written to.
+    """
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(m)[0]) >= -tol
+    return True
+
+
 @dataclass(frozen=True)
 class PureState:
     """A unit vector in C^d."""
@@ -67,7 +83,11 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD unit-trace operator on C^d."""
+    """Hermitian PSD unit-trace operator on C^d.
+
+    PSD means a least eigenvalue >= -PSD_TOL: a Cholesky factorisation of
+    matrix + PSD_TOL*I accepts, and when it fails eigvalsh decides.
+    """
 
     matrix: np.ndarray
 
@@ -80,7 +100,7 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > HERM_TOL:
             raise ValueError(f"density matrix trace {tr} != 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -PSD_TOL:
+        if not _is_psd(m, PSD_TOL):
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
 

@@ -312,6 +312,10 @@ def singlecopy_smp_strategies(d: int, n_bases: int, m: int):
     Requires shared randomness (the measurement bases)."""
 
     def party(ctx: PartyContext):
+        if ctx.shared is None:
+            raise ValueError(
+                "single-copy strategies need shared_randomness=True (the measurement bases)"
+            )
         rho = ctx.input.density() if hasattr(ctx.input, "density") else ctx.input
         if rho.dim != d:
             raise ValueError(

@@ -40,7 +40,12 @@ def encode_payload(ptype: str, payload) -> object:
         # complex128 is (re, im) float64 pairs in memory; tolist keeps every bit
         return arr.view(np.float64).reshape(-1, 2).tolist()
     if ptype == "outcomes":
-        return [int(x) for x in payload]
+        arr = np.asarray(payload)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise WireError(
+                f"outcomes payload must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}"
+            )
+        return arr.tolist()
     if ptype == "scalar":
         return float(payload)
     if ptype in ("hello", "result"):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqipe import experiments as ex
-from dqipe import wire
+from dqipe import oracles, wire
+from dqipe import symmetric as sym
 from dqipe.cli import main as cli_main
 from dqipe.linalg import overlap2
 from dqipe.rng import RngStream
@@ -299,6 +300,21 @@ def test_cli_run_errors_exit_2_with_one_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("dqipe: ")
+
+
+def test_spectrum_check_oracle_over_budget_exits_2_before_dense_work(monkeypatch, capsys):
+    # d^(2k) = 4^8: the oracle's projector on 2k factors alone would take 32 GiB
+    def dense_work(*args):
+        raise AssertionError("dense work ran before the budget guard")
+
+    monkeypatch.setattr(sym, "rho_u_closed_form", dense_work)
+    monkeypatch.setattr(oracles, "rho_u_numeric", dense_work)
+    assert cli_main(["spectrum-check", "--d", "4", "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dqipe: spectrum-check: oracle d^(2k) = 4^8 exceeds dense budget 20000\n"
+    )
 
 
 def test_cli_usage_error_unknown_experiment():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqipe.linalg import (
+    PSD_TOL,
     DensityMatrix,
     PureState,
     dmax,
@@ -16,6 +17,7 @@ from dqipe.linalg import (
     sample_haar_unitary,
     trace_distance,
     trace_inner,
+    _is_psd,
 )
 from dqipe.rng import RngStream
 
@@ -69,8 +71,53 @@ def test_pure_state_accepts_tiny_drift():
 
 def test_density_matrix_rejects_non_psd():
     m = np.diag([1.5, -0.5]).astype(complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^density matrix has a negative eigenvalue$"):
         DensityMatrix(m)
+
+
+def _hermitian_with_least_eig(n, lam, g):
+    """Unit-trace Hermitian n x n matrix whose least eigenvalue is lam ([[lam]] at n=1)."""
+    if n == 1:
+        return np.array([[lam]], dtype=complex)
+    rest = g.uniform(0.5, 1.5, n - 1)
+    rest *= (1.0 - lam) / rest.sum()
+    q, _ = np.linalg.qr(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+    m = (q * np.concatenate(([lam], rest))) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64, 200])
+def test_psd_verdict_is_the_least_eigenvalue_test(n):
+    g = np.random.default_rng(n)
+    for lam in (-2e-9, -1.1e-9, -0.9e-9, -0.5e-9, 0.0, 1e-12):
+        base = _hermitian_with_least_eig(n, lam, g)
+        # Hermitian within HERM_TOL only: both routines read the lower triangle
+        for m in (base, base + np.triu(np.full((n, n), 5e-11), 1)):
+            verdict = float(np.linalg.eigvalsh(m)[0]) >= -PSD_TOL
+            assert verdict == (lam >= -PSD_TOL)
+            assert _is_psd(m, PSD_TOL) == verdict
+            if n == 1:
+                continue  # trace lam, not 1
+            if verdict:
+                DensityMatrix(m)
+            else:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    DensityMatrix(m)
+
+
+def test_psd_boundary_is_left_to_eigvalsh():
+    # the shifted matrix has a zero pivot, so Cholesky fails and eigvalsh accepts
+    m = np.diag([-PSD_TOL, 1.0 + PSD_TOL]).astype(complex)
+    assert _is_psd(m, PSD_TOL)
+    DensityMatrix(m)
+
+
+def test_density_matrix_keeps_the_input_array_unwritten():
+    m = _hermitian_with_least_eig(8, 0.0, np.random.default_rng(3))
+    before = m.tobytes()
+    m.flags.writeable = False  # a write, even a transient one, would raise
+    assert DensityMatrix(m).matrix is m
+    assert m.tobytes() == before
 
 
 def test_density_matrix_rejects_non_hermitian():

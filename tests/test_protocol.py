@@ -73,6 +73,17 @@ def test_bad_state_vector_payloads_rejected():
             wire.decode_payload("state_vector", bad)
 
 
+def test_outcomes_codec_emits_plain_ints_and_rejects_other_arrays():
+    for dtype in (np.int64, np.int32, np.uint8):
+        out = np.array([0, 7, 31, 2], dtype=dtype)
+        frame = wire.make_frame("r", 1, "alice", "referee", "outcomes", out)
+        assert frame["payload"] == [0, 7, 31, 2]
+        assert wire.encode_frame(frame).startswith('{"from":"alice","payload":[0,7,31,2],')
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.array([1.5, 2.0]), np.array([True])):
+        with pytest.raises(wire.WireError, match="1-D integer array"):
+            wire.encode_payload("outcomes", bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_payload_raises_wire_error(bad):
     frame = wire.make_frame("r", 0, "alice", "referee", "state_vector", np.array([bad, 1.0]))
@@ -187,6 +198,13 @@ def test_singlecopy_smp_rejects_input_of_another_dimension():
             Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
             shared_randomness=True,
         )
+
+
+def test_singlecopy_smp_without_shared_randomness_names_it():
+    phi, psi, rng = _pair()
+    a, b, ref = singlecopy_smp_strategies(8, 1, 16)
+    with pytest.raises(ValueError, match=r"shared_randomness=True \(the measurement bases\)"):
+        run_protocol(Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng)
 
 
 def test_pi0_oneway_two_messages():
