@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,9 +141,15 @@ def multicopy_referee(u: PureState, v: PureState, k: int) -> tuple[float, float]
 
 
 def multicopy_variance_exact(d: int, k: int, f: float) -> float:
-    """Exact variance of the multi-copy estimate at squared overlap f."""
+    """Exact variance of the multi-copy estimate at squared overlap f.
+
+    Evaluated in rational arithmetic, with f taken exactly from its float,
+    and rounded once: the terms cancel from O(1) down to O(1/k), which in
+    floating point cost 2.3e-3 relative accuracy at d=48, k=56460645, f=1.
+    """
     if d < 2 or k < 1:
         raise ValueError("need d >= 2 and k >= 1")
+    f = Fraction(f)
     k1, k2 = k + 1, k + 2
     bracket = (
         k2**2 * k1**2 * f**2
@@ -155,8 +162,8 @@ def multicopy_variance_exact(d: int, k: int, f: float) -> float:
         + 4 * k1**2 * f * (d - 2 + f)
         + 8 * k1**2 * (f**2 - f)
     ) / k**4
-    pref = (d + k) ** 2 / (d + k + 1) ** 2
-    return pref * bracket - (d + 2 * k) ** 2 / k**4 - 2 * (d + 2 * k) * f / k**2 - f**2
+    pref = Fraction((d + k) ** 2, (d + k + 1) ** 2)
+    return float(pref * bracket - Fraction((d + 2 * k) ** 2, k**4) - 2 * (d + 2 * k) * f / k**2 - f**2)
 
 
 def multicopy_variance_bound(d: int, k: int, f: float) -> float:

@@ -7,16 +7,21 @@ cloning channels.
 Dense operations on (C^d)^{⊗k} refuse to run when d^k exceeds
 DENSE_BUDGET; closed-form paths (dimensions, block coefficients, block
 trace distance) have no such limit and use exact integer arithmetic.
+
+The measure-and-prepare channel works in the occupation basis of Sym^k,
+of dimension C(d+k-1, k): it pairs occupation vectors a + b = a' + b'
+with weights from exact multinomials, and never builds an operator on
+(C^d)^{⊗2k}. The cloning channels stay dense and serve as its check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -93,9 +98,6 @@ class SymBasis:
     k: int
     types: tuple[tuple[int, ...], ...]
     vectors: np.ndarray  # shape (d^k, dim), columns orthonormal
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,7 +216,7 @@ def _householder_to(u: np.ndarray) -> np.ndarray:
 
 
 def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
-    return reduce(np.kron, [m] * k) if k > 0 else np.eye(1, dtype=m.dtype)
+    return functools.reduce(np.kron, [m] * k) if k > 0 else np.eye(1, dtype=m.dtype)
 
 
 def pi_u_t(u: PureState, k: int, t: int) -> np.ndarray:
@@ -271,31 +273,72 @@ def partial_trace_last(op: np.ndarray, d: int, n_keep: int, n_last: int) -> np.n
     return np.einsum("iaja->ij", op.reshape(a, b, a, b))
 
 
+def _multinomial(t: tuple[int, ...]) -> int:
+    """M(t) = |t|! / prod_i t_i!: the number of strings with occupation t."""
+    return math.factorial(sum(t)) // math.prod(math.factorial(x) for x in t)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_terms(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat term list of the measure-and-prepare contraction on Sym^k.
+
+    One entry per matched (a, b, a', b') with a + b = a' + b', all of
+    them occupation vectors of weight k: the flat index b*D + b' into Y,
+    the flat index a'*D + a into X, and the weight c(a,b) c(a',b'), where
+    c(a,b) = <a+b|(|a>⊗|b>) = sqrt(M(a) M(b) / M(a+b)) from exact
+    integers. Cached and returned read-only.
+    """
+    types = type_vectors(d, k)
+    n = len(types)
+    mult = [_multinomial(t) for t in types]
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ia, a in enumerate(types):
+        for ib, b in enumerate(types):
+            groups.setdefault(tuple(x + y for x, y in zip(a, b)), []).append((ia, ib))
+    y_idx: list[int] = []
+    x_idx: list[int] = []
+    weight: list[float] = []
+    for c, pairs in groups.items():
+        mc = _multinomial(c)
+        coef = [math.sqrt(Fraction(mult[ia] * mult[ib], mc)) for ia, ib in pairs]
+        for (ia, ib), ca in zip(pairs, coef):
+            for (ia2, ib2), ca2 in zip(pairs, coef):
+                y_idx.append(ib * n + ib2)
+                x_idx.append(ia2 * n + ia)
+                weight.append(ca * ca2)
+    out = (np.array(y_idx, dtype=np.intp), np.array(x_idx, dtype=np.intp), np.array(weight))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def mp_channel(tau: DensityMatrix, d: int, k: int) -> DensityMatrix:
     """Measure-and-prepare channel on a k-copy symmetric input.
 
     Measures with the continuous POVM and re-prepares k copies of the
-    outcome; computed exactly as a normalized partial contraction of the
-    symmetric projector on 2k factors. Inputs not supported on the
-    symmetric subspace are projected there with a warning.
+    outcome: scale * Tr_1[(P tau P ⊗ I) P_sym^{2k}], computed exactly in
+    the occupation basis B of Sym^k. With X = B^T tau B (normalised to
+    unit trace), the output is scale * B Y B^T where
+    Y[b, b'] = sum over a + b = a' + b' of c(a,b) c(a',b') X[a', a] and
+    c(a,b) = <a+b|(|a>⊗|b>). Inputs not supported on the symmetric
+    subspace are projected there with a warning.
     """
     if d ** (2 * k) > DENSE_BUDGET:
         raise DenseBudgetError(
             f"mp_channel: d^(2k) = {d}^{2 * k} exceeds dense budget {DENSE_BUDGET}"
         )
-    p = sym_projector(d, k)
-    m = tau.matrix
-    proj = p @ m @ p
-    tr = float(np.trace(proj).real)
+    b = sym_basis(d, k).vectors
+    x = b.T @ tau.matrix @ b
+    tr = float(np.trace(x).real)
     if abs(tr - 1.0) > 1e-9:
         warnings.warn("mp_channel input not supported on the symmetric subspace; projecting")
-    proj = proj / tr
-    n = d**k
-    big4 = sym_projector(d, 2 * k).reshape(n, n, n, n)
-    # Tr_first[(proj ⊗ I) P_sym] without forming the d^{2k} matrices
-    out = np.einsum("ab,biaj->ij", proj, big4)
+    x = x / tr
+    n = x.shape[0]
+    y_idx, x_idx, weight = _mp_terms(d, k)
+    terms = weight * x.ravel()[x_idx]
+    y = np.bincount(y_idx, terms.real, n * n) + 1j * np.bincount(y_idx, terms.imag, n * n)
     scale = math.comb(d + k - 1, k) / math.comb(d + 2 * k - 1, 2 * k)
-    out = scale * out
+    out = scale * (b @ y.reshape(n, n) @ b.T)
     out = (out + out.conj().T) / 2
     return DensityMatrix(out)
 

@@ -62,7 +62,13 @@ def decode_payload(ptype: str, payload) -> object:
         except (TypeError, ValueError) as exc:
             raise WireError(f"bad state_vector payload: {exc}") from exc
     if ptype == "outcomes":
-        return np.array(payload, dtype=np.int64)
+        # the encoder's rule: a flat list of integers, each fitting int64
+        if type(payload) is not list or not set(map(type, payload)) <= {int}:
+            raise WireError("outcomes payload must be a flat list of integers")
+        try:
+            return np.array(payload, dtype=np.int64)
+        except OverflowError as exc:
+            raise WireError(f"bad outcomes payload: {exc}") from exc
     if ptype == "scalar":
         return float(payload)
     if ptype in ("hello", "result"):

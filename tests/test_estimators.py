@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,56 @@ def test_multicopy_exact_variance_positive_and_below_bound(d, k, f):
     exact = est.multicopy_variance_exact(d, k, f)
     assert exact >= -1e-9
     assert exact <= est.multicopy_variance_bound(d, k, f) + 1e-9
+
+
+def _multicopy_variance_fraction(d: int, k: int, f: Fraction) -> Fraction:
+    # the closed form written out again in rationals: numerator over
+    # (d+k+1)^2 k^4
+    k1, k2 = k + 1, k + 2
+    bracket = (
+        k2**2 * k1**2 * f**2
+        + 4 * k1 * k2 * (1 - f) ** 2
+        + 2 * (d - 2 + f) ** 2
+        + 2 * (d - 2 + f**2)
+        + 4 * k1**2 * (1 - f) ** 2
+        + 8 * k1 * (1 - f) * (d + 2 * f - 2)
+        + 8 * k1**2 * k2 * f * (1 - f)
+        + 4 * k1**2 * f * (d - 2 + f)
+        + 8 * k1**2 * (f**2 - f)
+    )
+    total = (d + k) ** 2 * bracket - (d + k + 1) ** 2 * (
+        (d + 2 * k) ** 2 + 2 * (d + 2 * k) * f * k**2 + f**2 * k**4
+    )
+    return total / ((d + k + 1) ** 2 * k**4)
+
+
+def _multicopy_bound_fraction(d: int, k: int, f: Fraction) -> Fraction:
+    return (
+        (4 * f - 2 * f**2) / k
+        + (2 * d * f + f**2 + 4) / k**2
+        + Fraction(4 * d + 4, k**3)
+        + Fraction(d**2 + 2 * d, k**4)
+    )
+
+
+@given(
+    d=st.integers(min_value=2, max_value=10**6),
+    k=st.integers(min_value=1, max_value=10**8),
+    i=st.integers(min_value=0, max_value=1000),
+)
+@settings(max_examples=300, deadline=None)
+def test_multicopy_exact_variance_is_correctly_rounded_and_below_bound(d, k, i):
+    f = i / 1000
+    exact = _multicopy_variance_fraction(d, k, Fraction(f))
+    assert est.multicopy_variance_exact(d, k, f) == float(exact)
+    assert 0 <= exact <= _multicopy_bound_fraction(d, k, Fraction(f))
+
+
+def test_multicopy_exact_variance_cancellation_case():
+    # float evaluation of the closed form was off by 2.3e-3 relative here
+    got = est.multicopy_variance_exact(48, 56_460_645, 1.0)
+    assert got == float(_multicopy_variance_fraction(48, 56_460_645, Fraction(1)))
+    assert est.multicopy_variance_exact(8, 16, 0.5) == 0.1059609375
 
 
 def test_born_sample_distribution():

@@ -84,6 +84,17 @@ def test_outcomes_codec_emits_plain_ints_and_rejects_other_arrays():
             wire.encode_payload("outcomes", bad)
 
 
+def test_outcomes_decoder_accepts_only_flat_integer_lists():
+    good = wire.decode_payload("outcomes", [0, 7, 31, -2])
+    assert good.dtype == np.int64 and good.tolist() == [0, 7, 31, -2]
+    empty = wire.decode_payload("outcomes", [])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    for bad in ([1.5, 2.7], [1, 2.0], [[1, 2], [3, 4]], [[1], 2], [True, False], [1, True],
+                [2**70], [-(2**70)], [1, None], ["1"], 3, "12", {"0": 1}):
+        with pytest.raises(wire.WireError, match="outcomes payload"):
+            wire.decode_payload("outcomes", bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_payload_raises_wire_error(bad):
     frame = wire.make_frame("r", 0, "alice", "referee", "state_vector", np.array([bad, 1.0]))

@@ -155,6 +155,72 @@ def test_mp_channel_trace_and_warning():
     assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 5, 141])
+def test_mp_channel_k1_closed_form(d):
+    # one copy: mp(rho) = (rho + I) / (d + 1); d = 141 is the largest d the
+    # d^(2k) budget admits at k = 1
+    g = RngStream(d).rng
+    z = g.standard_normal((d, 3)) + 1j * g.standard_normal((d, 3))
+    m = z @ z.conj().T
+    m /= np.trace(m).real
+    out = sym.mp_channel(DensityMatrix(m), d, 1)
+    assert np.allclose(out.matrix, (m + np.eye(d)) / (d + 1), atol=1e-12)
+
+
+def _mp_dense_reference(m: np.ndarray, d: int, k: int) -> np.ndarray:
+    # scale * Tr_1[(P tau P ⊗ I) S], S the permutation-sum projector on 2k factors
+    n = d**k
+    p = oracles.sym_projector_perm_sum(d, k)
+    proj = p @ m @ p
+    proj /= np.trace(proj).real
+    big = oracles.sym_projector_perm_sum(d, 2 * k)
+    prod = np.kron(proj, np.eye(n)) @ big
+    out = np.einsum("aiaj->ij", prod.reshape(n, n, n, n))
+    return math.comb(d + k - 1, k) / math.comb(d + 2 * k - 1, 2 * k) * out
+
+
+@pytest.mark.parametrize("dk", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)])
+def test_mp_channel_matches_dense_reference(dk):
+    d, k = dk
+    n = d**k
+    g = RngStream(20 + 10 * d + k).rng
+    p = oracles.sym_projector_perm_sum(d, k)
+    v = p @ (g.standard_normal(n) + 1j * g.standard_normal(n))
+    v /= np.linalg.norm(v)
+    z = p @ (g.standard_normal((n, 3)) + 1j * g.standard_normal((n, 3)))
+    mixed = z @ z.conj().T
+    mixed /= np.trace(mixed).real
+    cases = [(np.outer(v, v.conj()), False), (mixed, False)]
+    if k > 1:  # at k = 1 every input lies on the symmetric subspace
+        w = g.standard_normal(n) + 1j * g.standard_normal(n)
+        w /= np.linalg.norm(w)
+        cases.append((np.outer(w, w.conj()), True))
+    for m, off_subspace in cases:
+        if off_subspace:
+            with pytest.warns(UserWarning, match="not supported on the symmetric subspace"):
+                out = sym.mp_channel(DensityMatrix(m), d, k)
+        else:
+            out = sym.mp_channel(DensityMatrix(m), d, k)
+        assert np.allclose(out.matrix, _mp_dense_reference(m, d, k), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dk", [(2, 7), (11, 2), (5, 3)])
+def test_mp_channel_at_budget_extremes(dk):
+    d, k = dk
+    assert d ** (2 * k) <= sym.DENSE_BUDGET
+    g = RngStream(30 + d).rng
+    p = sym.sym_projector(d, k)
+    v = p @ (g.standard_normal(d**k) + 1j * g.standard_normal(d**k))
+    v /= np.linalg.norm(v)
+    out = sym.mp_channel(DensityMatrix(np.outer(v, v.conj())), d, k)
+    assert isinstance(out, DensityMatrix)
+    assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(p @ out.matrix @ p, out.matrix, atol=1e-12)
+    # the channel output dominates e^{-k^2/d} times the maximally mixed state
+    floor = math.exp(-(k**2) / d) * sym.maximally_mixed_sym(d, k).matrix
+    assert np.linalg.eigvalsh(out.matrix - floor)[0] >= -1e-10
+
+
 def test_clone_channel_endpoints():
     d, k = 3, 2
     p = sym.sym_projector(d, k)
