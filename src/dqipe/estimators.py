@@ -24,6 +24,7 @@ import numpy as np
 
 from .linalg import (
     PureState, DensityMatrix, overlap2, trace_inner, sample_haar_state, sample_haar_unitary,
+    sample_orthogonal_unit,
 )
 from .rng import RngStream
 from .symmetric import standard_povm_sample
@@ -113,7 +114,8 @@ def multicopy_estimate(
     Each party samples the continuous POVM on its k copies; the referee
     rescales the squared overlap of the two outcomes. Unbiased; the value
     is not clamped to [0, 1]. Pure inputs only: mixed states break the
-    calibration, so pass density matrices elsewhere.
+    calibration, so pass density matrices elsewhere. At d=1 the sampler
+    warns and the estimate is exactly 1.
     """
     if isinstance(phi, DensityMatrix) or isinstance(psi, DensityMatrix):
         raise TypeError("multicopy_estimate requires pure states")
@@ -122,20 +124,19 @@ def multicopy_estimate(
     d = phi.dim
     if k < 1:
         raise ValueError("k must be >= 1")
-    if d == 1:
-        warnings.warn("multicopy_estimate degenerate at d=1: overlap is exactly 1")
-        return EstimateRecord(
-            value=1.0, raw=1.0, d=d, k=k, seed=rng.seed, path=rng.path, degenerate=True
-        )
     u = standard_povm_sample(phi, k, rng.child(STREAM_ALICE))
     v = standard_povm_sample(psi, k, rng.child(STREAM_BOB))
     w, x = multicopy_referee(u, v, k)
-    return EstimateRecord(value=w, raw=x, d=d, k=k, seed=rng.seed, path=rng.path)
+    return EstimateRecord(
+        value=w, raw=x, d=d, k=k, seed=rng.seed, path=rng.path, degenerate=d == 1
+    )
 
 
 def multicopy_referee(u: PureState, v: PureState, k: int) -> tuple[float, float]:
     """Referee step of the multi-copy route: (estimate, squared overlap) of
-    the two parties' POVM outcomes."""
+    the two parties' POVM outcomes. At d=1 both are exactly 1."""
+    if u.dim == 1:
+        return 1.0, 1.0
     x = overlap2(u, v)
     return multicopy_constants(u.dim, k).estimate(x), x
 
@@ -242,16 +243,13 @@ def singlecopy_estimate(
         raise ValueError("need n_bases >= 1 and m >= 1")
     if d == 1:
         warnings.warn("singlecopy_estimate degenerate at d=1: overlap is exactly 1")
-        return EstimateRecord(
-            value=1.0, raw=1.0, d=d, k=1, n_bases=n_bases, m=m,
-            seed=rng.seed, path=rng.path, degenerate=True,
-        )
     shared = rng.child(STREAM_SHARED)
     x = singlecopy_outcomes(rho_m, n_bases, m, shared, rng.child(STREAM_ALICE))
     y = singlecopy_outcomes(sigma_m, n_bases, m, shared, rng.child(STREAM_BOB))
     w, raw = singlecopy_referee(x, y, d)
     return EstimateRecord(
         value=w, raw=raw, d=d, k=1, n_bases=n_bases, m=m, seed=rng.seed, path=rng.path,
+        degenerate=d == 1,
     )
 
 
@@ -339,9 +337,6 @@ def make_state_pair(d: int, f: float, rng: RngStream) -> tuple[PureState, PureSt
         return phi, phi
     if d == 1:
         raise ValueError("d=1 admits only f=1")
-    g = rng.rng
-    z = g.standard_normal(d) + 1j * g.standard_normal(d)
-    z -= phi.amplitudes * np.vdot(phi.amplitudes, z)
-    z /= np.linalg.norm(z)
+    z = sample_orthogonal_unit(phi, rng)
     psi = math.sqrt(f) * phi.amplitudes + math.sqrt(1.0 - f) * z
     return phi, PureState(psi)

@@ -60,22 +60,6 @@ __all__ = [
     "parse_result",
 ]
 
-EXPERIMENTS = (
-    "estimate-multicopy",
-    "estimate-singlecopy",
-    "dipe-threshold",
-    "dipe-pi0",
-    "variance-check-multicopy",
-    "variance-check-singlecopy",
-    "variance-check-swap",
-    "spectrum-check",
-    "mp-bound-check",
-    "tracedist-check",
-    "moment-check",
-    "problem1-distinguish",
-)
-
-
 def load_defaults() -> dict:
     """Calibrated constants shipped with the package (see scripts/)."""
     with resources.files("dqipe").joinpath("defaults.json").open() as fh:
@@ -225,12 +209,18 @@ def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream)
 _SINGLECOPY_BLOCK = 2048
 
 
+def _orthogonal_units(states: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    """Row i: a Haar random unit vector orthogonal to states[i]."""
+    z = g.standard_normal(states.shape) + 1j * g.standard_normal(states.shape)
+    z -= states * np.einsum("nd,nd->n", states.conj(), z)[:, None]
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
+
+
 def _haar_pairs(d: int, f: float, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     phi = g.standard_normal((n, d)) + 1j * g.standard_normal((n, d))
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    z = g.standard_normal((n, d)) + 1j * g.standard_normal((n, d))
-    z -= phi * np.einsum("nd,nd->n", phi.conj(), z)[:, None]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = _orthogonal_units(phi, g)
     psi = math.sqrt(f) * phi + math.sqrt(1.0 - f) * z
     return phi, psi
 
@@ -239,9 +229,7 @@ def _povm_samples_batch(states: np.ndarray, k: int, g: np.random.Generator) -> n
     n, d = states.shape
     a2 = g.beta(k + 1, d - 1, size=n)
     theta = g.uniform(0.0, 2.0 * math.pi, size=n)
-    z = g.standard_normal((n, d)) + 1j * g.standard_normal((n, d))
-    z -= states * np.einsum("nd,nd->n", states.conj(), z)[:, None]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = _orthogonal_units(states, g)
     return (
         np.sqrt(a2)[:, None] * np.exp(1j * theta)[:, None] * states
         + np.sqrt(1.0 - a2)[:, None] * z
@@ -389,7 +377,7 @@ def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
                 if case == 2:
                     # acceptance gap of the all-orthogonal test between an
                     # independent state and the state Alice measured
-                    u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
+                    u = PureState(run.messages[0].payload)
                     gaps[t] = est.pi0_reject_probability(u, psi, k) - est.pi0_reject_probability(u, phi, k)
             _record_case(summary, case, hits, config.trials)
     finally:
@@ -558,6 +546,8 @@ _DISPATCH = {
     "moment-check": _run_moment_check,
     "problem1-distinguish": _run_problem1,
 }
+
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

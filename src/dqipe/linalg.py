@@ -22,12 +22,12 @@ __all__ = [
     "DensityMatrix",
     "is_hermitian",
     "sample_haar_state",
+    "sample_orthogonal_unit",
     "sample_haar_unitary",
     "overlap2",
     "trace_inner",
     "trace_distance",
     "dmax",
-    "sample_beta",
 ]
 
 NORM_TOL = 1e-12
@@ -126,6 +126,15 @@ def sample_haar_state(d: int, rng: RngStream) -> PureState:
     return PureState(z / np.linalg.norm(z))
 
 
+def sample_orthogonal_unit(phi: PureState, rng: RngStream) -> np.ndarray:
+    """Haar random unit vector orthogonal to phi, from d real then d imaginary normals."""
+    g = rng.rng
+    z = g.standard_normal(phi.dim) + 1j * g.standard_normal(phi.dim)
+    z -= phi.amplitudes * np.vdot(phi.amplitudes, z)
+    z /= np.linalg.norm(z)
+    return z
+
+
 def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
     """Haar random unitary via QR of a complex Ginibre matrix.
 
@@ -185,12 +194,3 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix, support_tol: float = 1e-9) ->
         return -math.inf
     return math.log(lam_max)
 
-
-def sample_beta(a: float, b: float, rng: RngStream) -> float:
-    """Beta(a, b) draw realized as a ratio of two Gamma draws."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
-    g = rng.rng
-    x = g.gamma(a)
-    y = g.gamma(b)
-    return float(x / (x + y))

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, sample_beta
+from .linalg import PureState, DensityMatrix, sample_orthogonal_unit
 from .rng import RngStream
 
 __all__ = [
@@ -75,19 +75,12 @@ def sym_dimension(d: int, k: int) -> int:
 def type_vectors(d: int, k: int) -> list[tuple[int, ...]]:
     """All occupation vectors (l_0..l_{d-1}) with nonnegative entries summing to k.
 
-    Ordered lexicographically; the count is C(d+k-1, k).
+    Ordered lexicographically; the count is C(d+k-1, k). The order fixes
+    the column order of sym_basis and, through it, every dense result.
     """
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), k, d)
-    return out
+    # sorted index tuples come in reverse lexicographic order of occupation
+    combos = itertools.combinations_with_replacement(range(d), k)
+    return [tuple(c.count(i) for i in range(d)) for c in combos][::-1]
 
 
 @dataclass(frozen=True)
@@ -149,12 +142,10 @@ def standard_povm_sample(phi: PureState, k: int, rng: RngStream) -> PureState:
         warnings.warn("standard_povm_sample degenerate at d=1: outcome is phi up to phase")
         theta = rng.rng.uniform(0.0, 2.0 * math.pi)
         return PureState(phi.amplitudes * np.exp(1j * theta))
-    a2 = sample_beta(k + 1, d - 1, rng)
-    theta = rng.rng.uniform(0.0, 2.0 * math.pi)
     g = rng.rng
-    z = g.standard_normal(d) + 1j * g.standard_normal(d)
-    z -= phi.amplitudes * np.vdot(phi.amplitudes, z)
-    z /= np.linalg.norm(z)
+    a2 = g.beta(k + 1, d - 1)
+    theta = g.uniform(0.0, 2.0 * math.pi)
+    z = sample_orthogonal_unit(phi, rng)
     u = math.sqrt(a2) * np.exp(1j * theta) * phi.amplitudes + math.sqrt(1.0 - a2) * z
     return PureState(u)
 
@@ -215,38 +206,42 @@ def _householder_to(u: np.ndarray) -> np.ndarray:
     return np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / nw2
 
 
-def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
-    return functools.reduce(np.kron, [m] * k) if k > 0 else np.eye(1, dtype=m.dtype)
+def _rotated_basis(u: PureState, k: int) -> np.ndarray:
+    """sym_basis(d, k) rotated by R^{⊗k}, R mapping e_0 to u up to a phase,
+    one tensor axis at a time: column j has types[j][0] factors along u."""
+    d = u.dim
+    rot = _householder_to(u.amplitudes)
+    rb = sym_basis(d, k).vectors.astype(complex).reshape((d,) * k + (-1,))
+    for axis in range(k):
+        rb = np.moveaxis(np.tensordot(rot, rb, axes=(1, axis)), 0, axis)
+    return rb.reshape(d**k, -1)
 
 
 def pi_u_t(u: PureState, k: int, t: int) -> np.ndarray:
     """Projector onto the block of the symmetric subspace with exactly t
     factors along u.
 
-    Built by rotating the computational basis with e_0 -> u and selecting
-    the occupation-number basis vectors whose first entry is t.
+    Built from the rotated occupation-number basis vectors whose first
+    entry is t.
     """
     d = u.dim
     _check_budget(d, k, "pi_u_t")
     if not 0 <= t <= k:
         raise ValueError(f"t={t} out of range [0, {k}]")
-    basis = sym_basis(d, k)
-    cols = [j for j, tv in enumerate(basis.types) if tv[0] == t]
-    b = basis.vectors[:, cols].astype(complex)
-    rot = _kron_power(_householder_to(u.amplitudes), k)
-    rb = rot @ b
+    cols = [j for j, tv in enumerate(sym_basis(d, k).types) if tv[0] == t]
+    rb = _rotated_basis(u, k)[:, cols]
     return rb @ rb.conj().T
 
 
 def rho_u_closed_form(u: PureState, k: int) -> DensityMatrix:
-    """Post-measurement state sum_t beta_t Pi_u^t as a dense matrix."""
+    """Post-measurement state sum_t beta_t Pi_u^t as a dense matrix,
+    diagonal in the rotated occupation basis."""
     d = u.dim
     _check_budget(d, k, "rho_u_closed_form")
-    n = d**k
-    acc = np.zeros((n, n), dtype=complex)
-    for t in range(k + 1):
-        acc += beta_coefficient(d, k, t) * pi_u_t(u, k, t)
-    return DensityMatrix(acc)
+    betas = block_spectrum(d, k).betas
+    weights = np.array([betas[tv[0]] for tv in sym_basis(d, k).types])
+    rb = _rotated_basis(u, k)
+    return DensityMatrix((rb * weights) @ rb.conj().T)
 
 
 def trace_distance_rho_u_block(d: int, k: int) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from dqipe.linalg import (
     dmax,
     is_hermitian,
     overlap2,
-    sample_beta,
     sample_haar_state,
     sample_haar_unitary,
     trace_distance,
@@ -166,13 +166,28 @@ def test_dmax_basics():
     assert dmax(mixed, pure) == math.inf
 
 
-def test_sample_beta_moments():
-    r = RngStream(17)
-    a, b = 3.0, 5.0
-    draws = np.array([sample_beta(a, b, r) for _ in range(20000)])
-    assert draws.mean() == pytest.approx(a / (a + b), abs=0.01)
-    exact_var = a * b / ((a + b) ** 2 * (a + b + 1))
-    assert draws.var() == pytest.approx(exact_var, rel=0.1)
+def _beta_as_gamma_ratio(a: float, b: float, g: np.random.Generator) -> float:
+    """Reference: Beta(a, b) as the ratio of two gamma draws."""
+    x = g.gamma(a)
+    y = g.gamma(b)
+    return float(x / (x + y))
+
+
+def test_generator_beta_is_the_gamma_ratio():
+    # standard_povm_sample draws Beta(k + 1, d - 1) with Generator.beta; for
+    # a > 1 or b > 1 that must stay the gamma ratio bit for bit, leaving the
+    # generator where the ratio leaves it (a <= 1 and b <= 1 take another
+    # algorithm)
+    grid = itertools.product((0.5, 1.0, 1.5, 2.0, 3.0, 9.0, 17.0), (0.5, 1.0, 2.0, 7.0, 31.0))
+    for a, b in grid:
+        if a <= 1 and b <= 1:
+            continue
+        for seed in range(5):
+            g_ratio = RngStream(seed).rng
+            g_beta = RngStream(seed).rng
+            for _ in range(40):
+                assert g_beta.beta(a, b) == _beta_as_gamma_ratio(a, b, g_ratio)
+            assert g_beta.random() == g_ratio.random()
 
 
 @given(d=st.integers(min_value=2, max_value=8), seed=seeds)

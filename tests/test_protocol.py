@@ -201,6 +201,36 @@ def test_singlecopy_smp_bit_identical_to_direct():
         assert t.shared_seed == (rng.seed, rng.child(est.STREAM_SHARED).path)
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_multicopy_smp_equals_direct_at_d1(k):
+    # at d=1 the overlap is exactly 1; the referee says so on both paths
+    a, b, ref = multicopy_smp_strategies(k)
+    for seed in range(30):
+        phi, psi, rng = _pair(seed=seed, d=1, f=1.0)
+        with pytest.warns(UserWarning, match="degenerate at d=1"):
+            direct = est.multicopy_estimate(phi, psi, k, rng)
+        with pytest.warns(UserWarning, match="degenerate at d=1"):
+            t = run_protocol(Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng)
+        assert t.result["w"] == direct.value == 1.0
+        assert t.result["raw"] == direct.raw == 1.0
+        assert direct.degenerate
+
+
+def test_singlecopy_smp_equals_direct_at_d1():
+    a, b, ref = singlecopy_smp_strategies(1, 2, 16)
+    for seed in range(30):
+        phi, psi, rng = _pair(seed=seed, d=1, f=1.0)
+        with pytest.warns(UserWarning, match="degenerate at d=1"):
+            direct = est.singlecopy_estimate(phi, psi, 2, 16, rng)
+        t = run_protocol(
+            Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
+            shared_randomness=True,
+        )
+        assert t.result["w"] == direct.value == 1.0
+        assert t.result["raw"] == direct.raw == 1.0
+        assert direct.degenerate
+
+
 def test_singlecopy_smp_rejects_input_of_another_dimension():
     phi, psi, rng = _pair(d=4)
     a, b, ref = singlecopy_smp_strategies(8, 1, 16)

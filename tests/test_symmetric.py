@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,14 +17,30 @@ small_dk = st.tuples(
 )
 
 
-@given(dk=small_dk)
-@settings(max_examples=30, deadline=None)
-def test_type_vectors_count_matches_dimension(dk):
-    d, k = dk
-    tv = sym.type_vectors(d, k)
-    assert len(tv) == sym.sym_dimension(d, k)
-    assert all(sum(t) == k and min(t) >= 0 for t in tv)
-    assert tv == sorted(tv)  # lexicographic order is part of the contract
+def _type_vectors_recursive(d, k):
+    """Reference: occupation vectors in lexicographic order, one entry per
+    recursion level."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for v in range(remaining + 1):
+            rec(prefix + (v,), remaining - v, slots - 1)
+
+    rec((), k, d)
+    return out
+
+
+def test_type_vectors_count_matches_dimension():
+    for d, k in itertools.product(range(1, 9), range(7)):
+        tv = sym.type_vectors(d, k)
+        assert len(tv) == sym.sym_dimension(d, k)
+        assert all(sum(t) == k and min(t) >= 0 for t in tv)
+        # the order is part of the contract: it fixes sym_basis's columns
+        assert tv == sorted(tv)
+        assert tv == _type_vectors_recursive(d, k)
 
 
 def test_sym_dimension_values():
@@ -108,17 +125,36 @@ def test_block_coefficients_d3_k2():
     assert sym.beta_coefficient_exact(3, 2, 2) == Fraction(2, 5)
 
 
+def _rho_u_kron_reference(u, k):
+    """sum_t beta_t Pi_u^t with each block rotated by the Kronecker power
+    of the Householder map e_0 -> u."""
+    d = u.dim
+    rot = sym._householder_to(u.amplitudes)
+    rot_k = np.eye(1)
+    for _ in range(k):
+        rot_k = np.kron(rot_k, rot)
+    basis = sym.sym_basis(d, k)
+    out = np.zeros((d**k, d**k), dtype=complex)
+    for t in range(k + 1):
+        cols = [j for j, tv in enumerate(basis.types) if tv[0] == t]
+        rb = rot_k @ basis.vectors[:, cols]
+        out += sym.beta_coefficient(d, k, t) * (rb @ rb.conj().T)
+    return out
+
+
 def test_pi_u_t_blocks_partition_symmetric_subspace():
-    d, k = 3, 2
-    u = sample_haar_state(d, RngStream(3))
-    blocks = [sym.pi_u_t(u, k, t) for t in range(k + 1)]
-    for t, b in enumerate(blocks):
-        assert np.allclose(b @ b, b, atol=1e-10)
-        assert np.trace(b).real == pytest.approx(sym.block_dimension(d, k, t), abs=1e-9)
-    for s in range(k + 1):
-        for t in range(s + 1, k + 1):
-            assert np.allclose(blocks[s] @ blocks[t], 0.0, atol=1e-10)
-    assert np.allclose(sum(blocks), sym.sym_projector(d, k), atol=1e-10)
+    for d, k in [(3, 2), (2, 1), (2, 4), (3, 3), (5, 2)]:
+        u = sample_haar_state(d, RngStream(3))
+        blocks = [sym.pi_u_t(u, k, t) for t in range(k + 1)]
+        for t, b in enumerate(blocks):
+            assert np.allclose(b @ b, b, atol=1e-10)
+            assert np.trace(b).real == pytest.approx(sym.block_dimension(d, k, t), abs=1e-9)
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                assert np.allclose(blocks[s] @ blocks[t], 0.0, atol=1e-10)
+        assert np.allclose(sum(blocks), sym.sym_projector(d, k), atol=1e-10)
+        reference = _rho_u_kron_reference(u, k)
+        assert np.allclose(sym.rho_u_closed_form(u, k).matrix, reference, rtol=0, atol=1e-12)
 
 
 def test_pi0_matches_reject_probability():
