@@ -4,14 +4,19 @@ Projectors, the continuous tomography POVM sampler, the block-diagonal
 post-measurement state and its spectrum, and the measure-and-prepare and
 cloning channels.
 
-Dense operations on (C^d)^{⊗k} refuse to run when d^k exceeds
-DENSE_BUDGET; closed-form paths (dimensions, block coefficients, block
-trace distance) have no such limit and use exact integer arithmetic.
+The post-measurement state and the measure-and-prepare channel are
+computed on Sym^k, in its occupation basis B of dimension
+D = C(d+k-1, k): rho_u_occupation rotates B, and mp_channel_occupation
+pairs occupation vectors a + b = a' + b' with weights from exact
+multinomials, never building an operator on (C^d)^{⊗2k}. rho_u_closed_form
+and mp_channel are their lifts B (...) B^T to (C^d)^{⊗k}; the cloning
+channels stay dense and serve as a check.
 
-The measure-and-prepare channel works in the occupation basis of Sym^k,
-of dimension C(d+k-1, k): it pairs occupation vectors a + b = a' + b'
-with weights from exact multinomials, and never builds an operator on
-(C^d)^{⊗2k}. The cloning channels stay dense and serve as its check.
+Every build checks the bytes it will hold, computed from shapes, with
+check_budget before it allocates, and raises DenseBudgetError past
+BYTE_BUDGET. Closed-form paths (dimensions, block coefficients, block
+trace distance) allocate nothing of that size and use exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ from .linalg import PureState, DensityMatrix, sample_orthogonal_unit
 from .rng import RngStream
 
 __all__ = [
-    "DENSE_BUDGET",
+    "BYTE_BUDGET",
+    "WORK_BUDGET",
     "DenseBudgetError",
+    "check_budget",
     "SymBasis",
     "SymBlockSpectrum",
     "sym_dimension",
@@ -42,27 +49,55 @@ __all__ = [
     "beta_coefficient_exact",
     "block_spectrum",
     "pi_u_t",
+    "rho_u_occupation",
     "rho_u_closed_form",
     "trace_distance_rho_u_block",
     "maximally_mixed_sym",
+    "mp_channel_occupation",
     "mp_channel",
     "clone_channel",
     "chiribella_combination",
     "partial_trace_last",
 ]
 
-DENSE_BUDGET = 20_000
+# Bytes one build may hold at once.
+BYTE_BUDGET = 2**28
+# Element updates a dense permutation-sum oracle may make; the 2.6e9 of
+# spectrum-check --d 2 --k 4 take about 18 s on a 2-vCPU VM.
+WORK_BUDGET = 10**10
 
 
 class DenseBudgetError(ValueError):
-    """Raised when a dense tensor-power operation exceeds DENSE_BUDGET."""
+    """Raised before a build that would exceed BYTE_BUDGET or WORK_BUDGET."""
 
 
-def _check_budget(d: int, k: int, label: str) -> None:
-    if d**k > DENSE_BUDGET:
+def check_budget(label: str, nbytes: int, updates: int = 0) -> None:
+    """Refuse a build of nbytes bytes, or of `updates` element updates,
+    over budget. Callers compute both from shapes before they allocate."""
+    if nbytes > BYTE_BUDGET:
         raise DenseBudgetError(
-            f"{label}: d^k = {d}^{k} exceeds dense budget {DENSE_BUDGET}"
+            f"{label}: needs {nbytes / 2**20:.1f} MiB, over the byte budget"
+            f" of {BYTE_BUDGET // 2**20} MiB"
         )
+    if updates > WORK_BUDGET:
+        raise DenseBudgetError(
+            f"{label}: {updates:.2e} element updates, over the work budget"
+            f" of {WORK_BUDGET:.0e}"
+        )
+
+
+def _dense_bytes(d: int, k: int) -> int:
+    """An operator on (C^d)^{⊗k} and the copies its DensityMatrix check,
+    hermitisation or products hold beside it: eight complex d^k x d^k
+    arrays."""
+    n = d**k
+    return 128 * n * n
+
+
+def _overhead_bytes(d: int, n_types: int) -> int:
+    """numpy's ufunc buffers, plus the Python tuples, lists and dicts over
+    the occupation vectors."""
+    return 2**18 + n_types * (256 + 8 * d)
 
 
 def sym_dimension(d: int, k: int) -> int:
@@ -98,22 +133,24 @@ def sym_basis(d: int, k: int) -> SymBasis:
     """Build the occupation-number basis embedded in (C^d)^{⊗k}.
 
     Cached; callers must not mutate the vectors array."""
-    _check_budget(d, k, "sym_basis")
+    n, dim = d**k, sym_dimension(d, k)
+    check_budget("sym_basis", 8 * n * dim + _overhead_bytes(d, dim))
     types = type_vectors(d, k)
     index = {t: j for j, t in enumerate(types)}
-    n = d**k
-    vecs = np.zeros((n, len(types)))
+    vecs = np.zeros((n, dim))
     for flat, idx in enumerate(itertools.product(range(d), repeat=k)):
         counts = [0] * d
         for i in idx:
             counts[i] += 1
         vecs[flat, index[tuple(counts)]] = 1.0
-    vecs /= np.linalg.norm(vecs, axis=0)
+    # column t holds M(t) ones
+    vecs /= np.sqrt([float(_multinomial(t)) for t in types])
     return SymBasis(d, k, tuple(types), vecs)
 
 
 @functools.lru_cache(maxsize=None)
 def _sym_projector_cached(d: int, k: int) -> np.ndarray:
+    check_budget("sym_projector", _dense_bytes(d, k))
     basis = sym_basis(d, k)
     p = basis.vectors @ basis.vectors.conj().T
     p.setflags(write=False)
@@ -208,7 +245,8 @@ def _householder_to(u: np.ndarray) -> np.ndarray:
 
 def _rotated_basis(u: PureState, k: int) -> np.ndarray:
     """sym_basis(d, k) rotated by R^{⊗k}, R mapping e_0 to u up to a phase,
-    one tensor axis at a time: column j has types[j][0] factors along u."""
+    one tensor axis at a time: column j has types[j][0] factors along u.
+    Its callers check the budget for it."""
     d = u.dim
     rot = _householder_to(u.amplitudes)
     rb = sym_basis(d, k).vectors.astype(complex).reshape((d,) * k + (-1,))
@@ -225,23 +263,38 @@ def pi_u_t(u: PureState, k: int, t: int) -> np.ndarray:
     entry is t.
     """
     d = u.dim
-    _check_budget(d, k, "pi_u_t")
     if not 0 <= t <= k:
         raise ValueError(f"t={t} out of range [0, {k}]")
+    check_budget("pi_u_t", _dense_bytes(d, k))
     cols = [j for j, tv in enumerate(sym_basis(d, k).types) if tv[0] == t]
     rb = _rotated_basis(u, k)[:, cols]
     return rb @ rb.conj().T
 
 
-def rho_u_closed_form(u: PureState, k: int) -> DensityMatrix:
-    """Post-measurement state sum_t beta_t Pi_u^t as a dense matrix,
-    diagonal in the rotated occupation basis."""
+def rho_u_occupation(u: PureState, k: int) -> DensityMatrix:
+    """Post-measurement state sum_t beta_t Pi_u^t on Sym^k, as a D x D
+    matrix in the basis B = sym_basis(d, k).
+
+    With C = B^T R^{⊗k} B, the rotation restricted to Sym^k, it is
+    C diag(beta_{l_0}) C^H, where l_0 is the occupation of e_0.
+    """
     d = u.dim
-    _check_budget(d, k, "rho_u_closed_form")
+    n, dim = d**k, sym_dimension(d, k)
+    # the real basis, up to three complex copies of it while an axis turns,
+    # and eight complex D x D arrays
+    check_budget("rho_u_occupation", 64 * n * dim + 128 * dim * dim + _overhead_bytes(d, dim))
     betas = block_spectrum(d, k).betas
-    weights = np.array([betas[tv[0]] for tv in sym_basis(d, k).types])
-    rb = _rotated_basis(u, k)
-    return DensityMatrix((rb * weights) @ rb.conj().T)
+    basis = sym_basis(d, k)
+    c = basis.vectors.T @ _rotated_basis(u, k)
+    weights = np.array([betas[tv[0]] for tv in basis.types])
+    return DensityMatrix((c * weights) @ c.conj().T)
+
+
+def rho_u_closed_form(u: PureState, k: int) -> DensityMatrix:
+    """rho_u_occupation lifted to (C^d)^{⊗k}: B rho B^T."""
+    check_budget("rho_u_closed_form", _dense_bytes(u.dim, k))
+    b = sym_basis(u.dim, k).vectors
+    return DensityMatrix(b @ rho_u_occupation(u, k).matrix @ b.T)
 
 
 def trace_distance_rho_u_block(d: int, k: int) -> float:
@@ -259,6 +312,7 @@ def trace_distance_rho_u_block(d: int, k: int) -> float:
 
 def maximally_mixed_sym(d: int, k: int) -> DensityMatrix:
     """Maximally mixed state on the symmetric subspace."""
+    check_budget("maximally_mixed_sym", _dense_bytes(d, k))
     return DensityMatrix(sym_projector(d, k) / sym_dimension(d, k))
 
 
@@ -280,62 +334,86 @@ def _mp_terms(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     One entry per matched (a, b, a', b') with a + b = a' + b', all of
     them occupation vectors of weight k: the flat index b*D + b' into Y,
     the flat index a'*D + a into X, and the weight c(a,b) c(a',b'), where
-    c(a,b) = <a+b|(|a>⊗|b>) = sqrt(M(a) M(b) / M(a+b)) from exact
-    integers. Cached and returned read-only.
+    c(a,b) = <a+b|(|a>⊗|b>) = sqrt(M(a) M(b) / M(a+b)), the multinomials
+    exact integers rounded to float. Groups of equal a + b come in order
+    of first appearance and pairs within a group in (a, b) order, the
+    order of the accumulation. Cached and returned read-only.
+
+    Two budget checks: the D^2 pairs before they are grouped, then the
+    term list, with the temporaries of its build and of one contraction
+    over it, before it is expanded.
     """
+    n = sym_dimension(d, k)
+    dtype = np.min_scalar_type(2 * k)
+    # the pair sums, two sorted copies and ten index arrays per pair
+    pair_bytes = n * n * (3 * d * dtype.itemsize + 80) + _overhead_bytes(d, n)
+    check_budget("measure-and-prepare pairs", pair_bytes)
     types = type_vectors(d, k)
-    n = len(types)
-    mult = [_multinomial(t) for t in types]
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ia, a in enumerate(types):
-        for ib, b in enumerate(types):
-            groups.setdefault(tuple(x + y for x, y in zip(a, b)), []).append((ia, ib))
-    y_idx: list[int] = []
-    x_idx: list[int] = []
-    weight: list[float] = []
-    for c, pairs in groups.items():
-        mc = _multinomial(c)
-        coef = [math.sqrt(Fraction(mult[ia] * mult[ib], mc)) for ia, ib in pairs]
-        for (ia, ib), ca in zip(pairs, coef):
-            for (ia2, ib2), ca2 in zip(pairs, coef):
-                y_idx.append(ib * n + ib2)
-                x_idx.append(ia2 * n + ia)
-                weight.append(ca * ca2)
-    out = (np.array(y_idx, dtype=np.intp), np.array(x_idx, dtype=np.intp), np.array(weight))
-    for arr in out:
+    tv = np.array(types, dtype=dtype)
+    sums = (tv[:, None, :] + tv[None, :, :]).reshape(n * n, d)
+    keys = sums.view(np.dtype((np.void, d * dtype.itemsize))).ravel()
+    uniq, first_seen, group = np.unique(keys, return_index=True, return_inverse=True)
+    label = np.empty(len(uniq), dtype=np.intp)
+    label[np.argsort(first_seen)] = np.arange(len(uniq))
+    group = label[group.ravel()]
+    mult_c = np.empty(len(uniq))
+    mult_c[label] = [float(_multinomial(c.tolist())) for c in uniq.view(dtype).reshape(-1, d)]
+    mult = np.array([float(_multinomial(t)) for t in types])
+    pair_a, pair_b = np.divmod(np.arange(n * n), n)
+    coef = np.sqrt(mult[pair_a] * mult[pair_b] / mult_c[group])
+    sizes = np.bincount(group)
+    n_terms = int(sizes @ sizes)
+    # indices, weights and gathers of the build; a call then holds 40 bytes
+    # a term and eight complex D x D arrays
+    check_budget("measure-and-prepare terms", pair_bytes + 56 * n_terms + 128 * n * n)
+    order = np.argsort(group, kind="stable")
+    g = group[order]
+    reps = sizes[g]  # each pair meets every pair of its group
+    block = np.cumsum(reps) - reps  # where a pair's terms start
+    start = (np.cumsum(sizes) - sizes)[g]  # where its group starts in `order`
+    second = np.repeat(start - block, reps) + np.arange(n_terms)
+    first = np.repeat(np.arange(n * n), reps)
+    a, b, c = pair_a[order], pair_b[order], coef[order]
+    y_idx = b[first] * n + b[second]
+    x_idx = a[second] * n + a[first]
+    weight = c[first] * c[second]
+    for arr in (y_idx, x_idx, weight):
         arr.setflags(write=False)
-    return out
+    return y_idx, x_idx, weight
+
+
+def mp_channel_occupation(x: np.ndarray, d: int, k: int) -> DensityMatrix:
+    """Measure-and-prepare channel on Sym^k, in the basis B = sym_basis(d, k).
+
+    x is a unit-trace D x D operator in that basis. Measures with the
+    continuous POVM and re-prepares k copies of the outcome:
+    Y[b, b'] = scale * sum over a + b = a' + b' of c(a,b) c(a',b') X[a', a]
+    with c(a,b) = <a+b|(|a>⊗|b>) and scale = C(d+k-1, k) / C(d+2k-1, 2k),
+    which is scale * B^T Tr_1[(B x B^T ⊗ I) P_sym^{2k}] B.
+    """
+    n = sym_dimension(d, k)
+    y_idx, x_idx, weight = _mp_terms(d, k)
+    flat = x.ravel()
+    y = np.bincount(y_idx, weight * flat.real[x_idx], n * n)
+    y = y + 1j * np.bincount(y_idx, weight * flat.imag[x_idx], n * n)
+    y = (math.comb(d + k - 1, k) / math.comb(d + 2 * k - 1, 2 * k)) * y.reshape(n, n)
+    return DensityMatrix((y + y.conj().T) / 2)
 
 
 def mp_channel(tau: DensityMatrix, d: int, k: int) -> DensityMatrix:
-    """Measure-and-prepare channel on a k-copy symmetric input.
+    """mp_channel_occupation lifted to (C^d)^{⊗k}: B Y B^T with Y the
+    channel applied to X = B^T tau B, normalised to unit trace.
 
-    Measures with the continuous POVM and re-prepares k copies of the
-    outcome: scale * Tr_1[(P tau P ⊗ I) P_sym^{2k}], computed exactly in
-    the occupation basis B of Sym^k. With X = B^T tau B (normalised to
-    unit trace), the output is scale * B Y B^T where
-    Y[b, b'] = sum over a + b = a' + b' of c(a,b) c(a',b') X[a', a] and
-    c(a,b) = <a+b|(|a>⊗|b>). Inputs not supported on the symmetric
-    subspace are projected there with a warning.
+    Inputs not supported on the symmetric subspace are projected there
+    with a warning.
     """
-    if d ** (2 * k) > DENSE_BUDGET:
-        raise DenseBudgetError(
-            f"mp_channel: d^(2k) = {d}^{2 * k} exceeds dense budget {DENSE_BUDGET}"
-        )
+    check_budget("mp_channel", _dense_bytes(d, k))
     b = sym_basis(d, k).vectors
     x = b.T @ tau.matrix @ b
     tr = float(np.trace(x).real)
     if abs(tr - 1.0) > 1e-9:
         warnings.warn("mp_channel input not supported on the symmetric subspace; projecting")
-    x = x / tr
-    n = x.shape[0]
-    y_idx, x_idx, weight = _mp_terms(d, k)
-    terms = weight * x.ravel()[x_idx]
-    y = np.bincount(y_idx, terms.real, n * n) + 1j * np.bincount(y_idx, terms.imag, n * n)
-    scale = math.comb(d + k - 1, k) / math.comb(d + 2 * k - 1, 2 * k)
-    out = scale * (b @ y.reshape(n, n) @ b.T)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out)
+    return DensityMatrix(b @ mp_channel_occupation(x / tr, d, k).matrix @ b.T)
 
 
 def clone_channel(rho: np.ndarray | None, d: int, s: int, k: int) -> DensityMatrix:
@@ -346,7 +424,7 @@ def clone_channel(rho: np.ndarray | None, d: int, s: int, k: int) -> DensityMatr
     """
     if not 0 <= s <= k:
         raise ValueError("need 0 <= s <= k")
-    _check_budget(d, k, "clone_channel")
+    check_budget("clone_channel", _dense_bytes(d, k))
     if s == 0:
         base = np.eye(1, dtype=complex) if rho is None else np.atleast_2d(rho)
         scale_in = float(np.trace(base).real)
@@ -362,7 +440,7 @@ def clone_channel(rho: np.ndarray | None, d: int, s: int, k: int) -> DensityMatr
 def chiribella_combination(rho: DensityMatrix, d: int, k: int) -> DensityMatrix:
     """Convex combination of cloning channels applied to the partial traces
     of rho; equals the measure-and-prepare channel output."""
-    _check_budget(d, k, "chiribella_combination")
+    check_budget("chiribella_combination", _dense_bytes(d, k))
     den = math.comb(d + 2 * k - 1, k)
     n = d**k
     acc = np.zeros((n, n), dtype=complex)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dqipe import experiments as ex
 from dqipe import oracles, wire
 from dqipe import symmetric as sym
 from dqipe.cli import main as cli_main
-from dqipe.linalg import overlap2
+from dqipe.linalg import DensityMatrix, dmax, overlap2
 from dqipe.rng import RngStream
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -302,19 +303,147 @@ def test_cli_run_errors_exit_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("dqipe: ")
 
 
-def test_spectrum_check_oracle_over_budget_exits_2_before_dense_work(monkeypatch, capsys):
-    # d^(2k) = 4^8: the oracle's projector on 2k factors alone would take 32 GiB
-    def dense_work(*args):
-        raise AssertionError("dense work ran before the budget guard")
+def _refuse_dense_work(*args):
+    raise AssertionError("dense work ran before the budget guard")
 
-    monkeypatch.setattr(sym, "rho_u_closed_form", dense_work)
-    monkeypatch.setattr(oracles, "rho_u_numeric", dense_work)
-    assert cli_main(["spectrum-check", "--d", "4", "--k", "4"]) == 2
+
+def _spectrum_check_refused(d, k, monkeypatch, capsys):
+    """spectrum-check's stderr line, asserting that it exits 2 with no dense work."""
+    monkeypatch.setattr(sym, "rho_u_closed_form", _refuse_dense_work)
+    monkeypatch.setattr(oracles, "rho_u_numeric", _refuse_dense_work)
+    assert cli_main(["spectrum-check", "--d", str(d), "--k", str(k)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "dqipe: spectrum-check: oracle d^(2k) = 4^8 exceeds dense budget 20000\n"
+    return captured.err
+
+
+def test_spectrum_check_oracle_over_budget_exits_2_before_dense_work(monkeypatch, capsys):
+    # the oracle's projector on 2k = 8 factors alone would take 32 GiB
+    assert _spectrum_check_refused(4, 4, monkeypatch, capsys) == (
+        "dqipe: spectrum-check oracle: needs 131072.0 MiB, over the byte budget of 256 MiB\n"
     )
+
+
+@pytest.mark.parametrize(
+    "d,k,message",
+    [
+        # (2k)! d^(4k) updates: hours of work in a few MiB
+        (2, 5, "3.81e+12 element updates, over the work budget of 1e+10"),
+        (3, 4, "needs 1313.7 MiB, over the byte budget of 256 MiB"),
+        (2, 7, "needs 8192.0 MiB, over the byte budget of 256 MiB"),
+        # 1.2e10 updates and 512 MiB: refused on both counts
+        (4, 3, "needs 512.0 MiB, over the byte budget of 256 MiB"),
+    ],
+)
+def test_spectrum_check_oracle_work_over_budget_exits_2(d, k, message, monkeypatch, capsys):
+    assert _spectrum_check_refused(d, k, monkeypatch, capsys) == f"dqipe: spectrum-check oracle: {message}\n"
+
+
+class _GuardPassed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d,k", [(3, 2), (3, 3), (2, 4)])
+def test_spectrum_check_oracle_within_budget_runs(d, k, monkeypatch):
+    # (2, 4) makes 2.6e9 updates, about 20 s of work, under the 1e10 bound
+    def reached(*args):
+        raise _GuardPassed
+
+    monkeypatch.setattr(sym, "rho_u_closed_form", reached)
+    with pytest.raises(_GuardPassed):
+        cli_main(["spectrum-check", "--d", str(d), "--k", str(k)])
+
+
+def _mp_bound_trials(d, k, trials, seed):
+    """Each trial's output lifted to (C^d)^{⊗k} by the dense mp_channel."""
+    basis = sym.sym_basis(d, k).vectors
+    n = basis.shape[1]
+    root = RngStream(seed)
+    outs = []
+    for t in range(trials):
+        g = root.child(t).rng
+        z = g.standard_normal(n) + 1j * g.standard_normal(n)
+        v = basis @ (z / np.linalg.norm(z))
+        tau = DensityMatrix(np.outer(v, v.conj()))
+        outs.append((tau, sym.mp_channel(tau, d, k)))
+    return basis, outs
+
+
+@pytest.mark.parametrize("d,k", [(4, 1), (4, 2), (6, 2), (4, 3)])
+def test_mp_bound_check_statistics_equal_the_dense_ones(d, k):
+    trials, seed = 4, 5
+    result = ex.run_experiment(ex.ExperimentConfig("mp-bound-check", d=d, k=k, trials=trials, seed=seed))
+    summary = result.summary
+    floor = math.exp(-(k**2) / d)
+    sigma_m = sym.maximally_mixed_sym(d, k)
+    basis, outs = _mp_bound_trials(d, k, trials, seed)
+    slack = min(
+        float(np.linalg.eigvalsh(basis.T @ (out.matrix - floor * sigma_m.matrix) @ basis)[0])
+        for _, out in outs
+    )
+    excess = max(dmax(sigma_m, out) - k**2 / d for _, out in outs)
+    assert summary["min_eig_slack"] == pytest.approx(slack, rel=0, abs=1e-12)
+    assert summary["max_dmax_excess"] == pytest.approx(excess, rel=0, abs=1e-10)
+    assert summary["floor_over_D"] == floor / sym.sym_dimension(d, k)
+    # the outputs themselves are the cloning mixture's, entry by entry
+    for tau, out in outs:
+        mixture = sym.chiribella_combination(tau, d, k).matrix
+        assert np.max(np.abs(out.matrix - mixture)) <= 1e-10
+
+
+def test_mp_bound_check_slack_is_positive_on_sym_k():
+    # on all of (C^d)^{⊗k} the slack read about -5e-17, from the zeros off Sym^k
+    summary = ex.run_experiment(ex.ExperimentConfig("mp-bound-check", d=4, k=3, trials=20)).summary
+    assert summary["min_eig_slack"] > 0
+
+
+def test_mp_bound_check_gate_has_power():
+    # slack below a tenth of floor/D: a floor 10% higher would FAIL the gate
+    result = ex.run_experiment(ex.ExperimentConfig("mp-bound-check", d=12, k=2, trials=20))
+    assert result.passed
+    assert 0 < result.summary["min_eig_slack"] < 0.1 * result.summary["floor_over_D"]
+
+
+@pytest.mark.parametrize("d,k", [(9, 3), (12, 3)])
+def test_mp_bound_check_runs_at_k_squared_over_d_near_one(d, k):
+    result = ex.run_experiment(ex.ExperimentConfig("mp-bound-check", d=d, k=k, trials=2))
+    assert result.passed and result.summary["min_eig_slack"] > 0
+
+
+def test_mp_bound_check_over_budget_exits_2_before_the_pair_loop(monkeypatch, capsys):
+    monkeypatch.setattr(sym, "type_vectors", _refuse_dense_work)
+    monkeypatch.setattr(sym, "mp_channel_occupation", _refuse_dense_work)
+    assert cli_main(["mp-bound-check", "--d", "16", "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dqipe: ")
+
+
+def test_tracedist_check_dense_value_unchanged():
+    result = ex.run_experiment(ex.ExperimentConfig("tracedist-check", d=10, k=3, seed=1))
+    assert result.summary["regime"] == "beta1>=1/D"
+    # the value the dense (C^10)^{⊗3} computation gave at this seed
+    assert result.summary["dense"] == pytest.approx(0.387362637362638, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 3), (3, 4), (4, 3), (2, 5), (2, 14), (10, 3), (25, 3)])
+def test_tracedist_check_reports_its_regime_and_passes(d, k):
+    result = ex.run_experiment(ex.ExperimentConfig("tracedist-check", d=d, k=k))
+    in_regime = sym.beta_coefficient_exact(d, k, 1) >= Fraction(1, sym.sym_dimension(d, k))
+    assert result.summary["regime"] == ("beta1>=1/D" if in_regime else "general")
+    assert result.passed
+    # dense wherever the budget admits it; outside the regime it is the only check
+    assert "dense" in result.summary or in_regime
+
+
+def test_tracedist_check_outside_regime_over_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sym, "sym_basis", _refuse_dense_work)
+    assert cli_main(["tracedist-check", "--d", "2", "--k", "24"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dqipe: tracedist-check: beta_1 < 1/D")
 
 
 def test_cli_usage_error_unknown_experiment():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -193,8 +194,8 @@ def test_mp_channel_trace_and_warning():
 
 @pytest.mark.parametrize("d", [2, 5, 141])
 def test_mp_channel_k1_closed_form(d):
-    # one copy: mp(rho) = (rho + I) / (d + 1); d = 141 is the largest d the
-    # d^(2k) budget admits at k = 1
+    # one copy: mp(rho) = (rho + I) / (d + 1); at d = 141 the term list has
+    # 39621 entries
     g = RngStream(d).rng
     z = g.standard_normal((d, 3)) + 1j * g.standard_normal((d, 3))
     m = z @ z.conj().T
@@ -243,7 +244,6 @@ def test_mp_channel_matches_dense_reference(dk):
 @pytest.mark.parametrize("dk", [(2, 7), (11, 2), (5, 3)])
 def test_mp_channel_at_budget_extremes(dk):
     d, k = dk
-    assert d ** (2 * k) <= sym.DENSE_BUDGET
     g = RngStream(30 + d).rng
     p = sym.sym_projector(d, k)
     v = p @ (g.standard_normal(d**k) + 1j * g.standard_normal(d**k))
@@ -284,10 +284,84 @@ def test_chiribella_combination_matches_mp():
                          - sym.chiribella_combination(rho, d, k).matrix)) <= 1e-10
 
 
-def test_dense_budget_guard():
-    with pytest.raises(sym.DenseBudgetError):
-        sym.sym_basis(2, 20)
-    with pytest.raises(sym.DenseBudgetError):
-        sym.mp_channel(sym.maximally_mixed_sym(2, 2), 12, 2)
+def test_dense_budget_guard(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("allocated before the budget guard")
+
+    # every build below enumerates occupation vectors once its guard passes
+    monkeypatch.setattr(sym, "type_vectors", allocate)
+    # 2^24 x 25 doubles; 16^4 x 16^4 complex; 3876^2 pairs of occupation vectors
+    with pytest.raises(sym.DenseBudgetError, match="^sym_basis: needs 3200.3 MiB"):
+        sym.sym_basis(2, 24)
+    with pytest.raises(sym.DenseBudgetError, match="^mp_channel: needs"):
+        sym.mp_channel(None, 16, 4)
+    with pytest.raises(sym.DenseBudgetError, match="^measure-and-prepare pairs: needs"):
+        sym.mp_channel_occupation(None, 16, 4)
+    with pytest.raises(sym.DenseBudgetError, match="^rho_u_occupation: needs"):
+        sym.rho_u_occupation(sample_haar_state(2, RngStream(0)), 24)
     # closed-form paths have no budget
     assert sym.trace_distance_rho_u_block(1000, 50) > 0
+
+
+def _estimate_and_peak(monkeypatch, build):
+    """The largest byte estimate the build passed to check_budget, and the
+    tracemalloc peak of the build."""
+    estimates = []
+    check = sym.check_budget
+
+    def spy(label, nbytes, updates=0):
+        estimates.append(nbytes)
+        check(label, nbytes, updates)
+
+    monkeypatch.setattr(sym, "check_budget", spy)
+    sym.sym_basis.cache_clear()
+    sym._mp_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return max(estimates), peak
+
+
+@pytest.mark.parametrize("dk", [(4, 3), (10, 3)])
+def test_basis_byte_estimate_bounds_its_build(dk, monkeypatch):
+    estimate, peak = _estimate_and_peak(monkeypatch, lambda: sym.sym_basis(*dk))
+    assert estimate >= peak
+
+
+@pytest.mark.parametrize("dk", [(6, 2), (9, 3)])
+def test_term_list_byte_estimate_bounds_its_build(dk, monkeypatch):
+    estimate, peak = _estimate_and_peak(monkeypatch, lambda: sym._mp_terms(*dk))
+    assert estimate >= peak
+
+
+def _mp_terms_loop(d, k):
+    """Reference: the term list built pair by pair in Python, with exact
+    rational coefficients."""
+    types = sym.type_vectors(d, k)
+    n = len(types)
+    mult = [sym._multinomial(t) for t in types]
+    groups = {}
+    for ia, a in enumerate(types):
+        for ib, b in enumerate(types):
+            groups.setdefault(tuple(x + y for x, y in zip(a, b)), []).append((ia, ib))
+    y_idx, x_idx, weight = [], [], []
+    for c, pairs in groups.items():
+        mc = sym._multinomial(c)
+        coef = [math.sqrt(Fraction(mult[ia] * mult[ib], mc)) for ia, ib in pairs]
+        for (ia, ib), ca in zip(pairs, coef):
+            for (ia2, ib2), ca2 in zip(pairs, coef):
+                y_idx.append(ib * n + ib2)
+                x_idx.append(ia2 * n + ia)
+                weight.append(ca * ca2)
+    return y_idx, x_idx, weight
+
+
+@pytest.mark.parametrize("dk", [(1, 3), (2, 1), (2, 6), (3, 2), (4, 3), (6, 2), (20, 1), (3, 0)])
+def test_mp_terms_equal_the_pair_loop(dk):
+    # same terms in the same order, so the channel accumulates identically;
+    # bit for bit while the multinomials stay below 2^53
+    for new, old in zip(sym._mp_terms(*dk), _mp_terms_loop(*dk)):
+        assert np.array_equal(new, np.array(old)) and new.dtype == np.array(old).dtype
