@@ -14,6 +14,7 @@ summary as a single row. JSON files mirror the same content with a
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -424,13 +425,9 @@ def _run_variance_check_swap(config: ExperimentConfig, root: RngStream) -> tuple
 
 def _run_spectrum_check(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 2
-    # the oracle sums (2k)! permutation operators on 2k factors, each
-    # N x N with N = d^(2k), in float, then takes a complex copy
-    n_oracle = (config.d**k) ** 2
-    sym.check_budget(
-        "spectrum-check oracle", 32 * n_oracle**2, updates=math.factorial(2 * k) * n_oracle**2
-    )
     u = sample_haar_state(config.d, root.child(0))
+    # the oracle first: its guard refuses what it cannot finish
+    numeric = oracles.rho_u_numeric(u.amplitudes, k)
     rho = sym.rho_u_closed_form(u, k)
     spec = sym.block_spectrum(config.d, k)
     expected = sorted(
@@ -438,10 +435,30 @@ def _run_spectrum_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     ) + [0.0] * (config.d**k - sym.sym_dimension(config.d, k))
     eigs = np.sort(np.linalg.eigvalsh(rho.matrix))
     eig_dev = float(np.max(np.abs(eigs - np.sort(np.array(expected)))))
-    numeric = oracles.rho_u_numeric(u.amplitudes, k)
     entry_dev = float(np.max(np.abs(rho.matrix - numeric)))
     summary = {"max_eig_dev": eig_dev, "max_entry_dev": entry_dev, "k": k}
     return [], summary, eig_dev <= 1e-9 and entry_dev <= 1e-9
+
+
+def _mp_anchor_dev(d: int, k: int, stream: RngStream) -> float:
+    """max |MP(|u><u|^{⊗k}) - rho_u| over entries, for one Haar u.
+
+    Measuring k copies of u and preparing k copies of the outcome gives
+    the post-measurement state rho_u, so the term-list contraction and the
+    rotated basis, built independently, must agree. Unlike the spectrum,
+    this sees the orientation of the contraction (X against X^T). Both
+    sides are compared on (C^d)^{⊗k}, through the public lifts, so the
+    lifts are checked too; over budget it raises DenseBudgetError.
+    """
+    n = d**k
+    # rho_u and the input, two complex n x n arrays, beside the channel's lift
+    lift = sym.lift_bytes(n, sym.sym_dimension(d, k))
+    sym.check_budget("mp-bound-check anchor", 32 * n * n + lift)
+    u = sample_haar_state(d, stream)
+    rho = sym.rho_u_closed_form(u, k)
+    uk = PureState(functools.reduce(np.kron, [u.amplitudes] * k))
+    out = sym.mp_channel(uk.density(), d, k)
+    return float(np.max(np.abs(out.matrix - rho.matrix)))
 
 
 def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
@@ -450,13 +467,20 @@ def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     sigma_m = I/D in the occupation basis, so one eigvalsh of Y gives
     both statistics: the slack lambda_min(Y) - floor/D, and
     Dmax(sigma_m || Y) = -log(D lambda_min(Y)), +inf when lambda_min is at
-    most 1e-9 (linalg.dmax's support test).
+    most 1e-9 (linalg.dmax's support test). Wherever the budget admits
+    the lifts, the channel is also checked against rho_u (_mp_anchor_dev).
     """
     d = config.d
     k = config.k if config.k > 0 else 2
     n = sym.sym_dimension(d, k)
-    # each trial's input vector and its D x D outer product
+    # each trial's D x D input and eigvalsh's copy of the output: arrays of
+    # this loop, and the input exists before the channel's guards run
     sym.check_budget("mp-bound-check", 32 * n * n)
+    try:
+        # the stream after the trials'
+        anchor = {"anchor_dev": _mp_anchor_dev(d, k, root.child(config.trials))}
+    except sym.DenseBudgetError:
+        anchor = {}
     floor = math.exp(-(k**2) / d)
     worst_eig = math.inf
     worst_excess = -math.inf
@@ -469,8 +493,11 @@ def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list
         worst_eig = min(worst_eig, lam - floor / n)
         excess = math.inf if lam <= 1e-9 else -math.log(n * lam) - k**2 / d
         worst_excess = max(worst_excess, excess)
-    summary = {"min_eig_slack": worst_eig, "floor_over_D": floor / n, "max_dmax_excess": worst_excess, "k": k}
-    return [], summary, worst_eig >= -1e-10 and worst_excess <= 1e-6
+    summary = {
+        "min_eig_slack": worst_eig, "floor_over_D": floor / n, "max_dmax_excess": worst_excess, **anchor, "k": k,
+    }
+    passed = worst_eig >= -1e-10 and worst_excess <= 1e-6 and anchor.get("anchor_dev", 0.0) <= 1e-10
+    return [], summary, passed
 
 
 def _tracedist_closed_form_exact(d: int, k: int) -> Fraction:

@@ -3,8 +3,8 @@
 Everything here is computed by a different route than the library code it
 checks: permutation-sum projectors instead of occupation bases, exhaustive
 enumeration instead of closed-form moments, quadrature instead of algebra.
-Nothing in this module imports from the estimator or symmetric-subspace
-modules.
+Nothing in this module imports a computation from the estimator or
+symmetric-subspace modules; it takes only the shared budget guard.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 from functools import reduce
 
 import numpy as np
+
+from .symmetric import check_budget
 
 __all__ = [
     "haar_moment_exact",
@@ -144,10 +146,17 @@ def sym_projector_perm_sum(d: int, k: int) -> np.ndarray:
 
 def rho_u_numeric(u: np.ndarray, k: int) -> np.ndarray:
     """Post-measurement state of the continuous POVM with outcome u,
-    computed by contracting the symmetric projector on 2k factors."""
+    computed by contracting the symmetric projector on 2k factors.
+
+    The projector is a sum of (2k)! permutation operators, each N x N with
+    N = d^(2k) = n^2: (2k)! N^2 element updates. At most three float
+    N x N arrays are held at once: the accumulator and one operator, or
+    the averaged projector and its complex copy; then a few complex n x n.
+    """
     d = u.shape[0]
-    big = sym_projector_perm_sum(d, 2 * k).astype(complex)
     n = d**k
+    check_budget("rho_u_numeric", 24 * n**4 + 64 * n * n, updates=math.factorial(2 * k) * n**4)
+    big = sym_projector_perm_sum(d, 2 * k).astype(complex)
     uk = reduce(np.kron, [u] * k)
     m4 = big.reshape(n, n, n, n)
     rho = np.einsum("arbs,r,s->ab", m4, uk.conj(), uk)

@@ -38,6 +38,7 @@ __all__ = [
     "WORK_BUDGET",
     "DenseBudgetError",
     "check_budget",
+    "lift_bytes",
     "SymBasis",
     "SymBlockSpectrum",
     "sym_dimension",
@@ -86,12 +87,18 @@ def check_budget(label: str, nbytes: int, updates: int = 0) -> None:
         )
 
 
-def _dense_bytes(d: int, k: int) -> int:
-    """An operator on (C^d)^{⊗k} and the copies its DensityMatrix check,
-    hermitisation or products hold beside it: eight complex d^k x d^k
-    arrays."""
-    n = d**k
-    return 128 * n * n
+def _density_bytes(n: int) -> int:
+    """A complex n x n matrix and what DensityMatrix's check holds beside
+    it: the Hermitian test's conjugate and difference, or the PSD test's
+    shifted copy, LAPACK's copy of it and the factor."""
+    return 64 * n * n
+
+
+def lift_bytes(n: int, dim: int) -> int:
+    """Bytes a lift B (...) B^T from D x D to n x n holds: complex copies
+    of B and of the n x D product, then the lifted matrix with its
+    DensityMatrix check."""
+    return 48 * n * dim + _density_bytes(n)
 
 
 def _overhead_bytes(d: int, n_types: int) -> int:
@@ -150,7 +157,9 @@ def sym_basis(d: int, k: int) -> SymBasis:
 
 @functools.lru_cache(maxsize=None)
 def _sym_projector_cached(d: int, k: int) -> np.ndarray:
-    check_budget("sym_projector", _dense_bytes(d, k))
+    n, dim = d**k, sym_dimension(d, k)
+    # the real product beside the basis, as sym_basis counts it
+    check_budget("sym_projector", 8 * n * n + 8 * n * dim + _overhead_bytes(d, dim))
     basis = sym_basis(d, k)
     p = basis.vectors @ basis.vectors.conj().T
     p.setflags(write=False)
@@ -265,7 +274,10 @@ def pi_u_t(u: PureState, k: int, t: int) -> np.ndarray:
     d = u.dim
     if not 0 <= t <= k:
         raise ValueError(f"t={t} out of range [0, {k}]")
-    check_budget("pi_u_t", _dense_bytes(d, k))
+    n, dim = d**k, sym_dimension(d, k)
+    # the basis and its rotation as rho_u_occupation counts them, then the
+    # complex n x n product
+    check_budget("pi_u_t", 64 * n * dim + 16 * n * n)
     cols = [j for j, tv in enumerate(sym_basis(d, k).types) if tv[0] == t]
     rb = _rotated_basis(u, k)[:, cols]
     return rb @ rb.conj().T
@@ -280,9 +292,13 @@ def rho_u_occupation(u: PureState, k: int) -> DensityMatrix:
     """
     d = u.dim
     n, dim = d**k, sym_dimension(d, k)
-    # the real basis, up to three complex copies of it while an axis turns,
-    # and eight complex D x D arrays
-    check_budget("rho_u_occupation", 64 * n * dim + 128 * dim * dim + _overhead_bytes(d, dim))
+    # the real basis, up to three complex copies of it while an axis turns
+    # and the complex product with it; then C, C diag(beta) and the output
+    # with its DensityMatrix check
+    check_budget(
+        "rho_u_occupation",
+        64 * n * dim + 32 * dim * dim + _density_bytes(dim) + _overhead_bytes(d, dim),
+    )
     betas = block_spectrum(d, k).betas
     basis = sym_basis(d, k)
     c = basis.vectors.T @ _rotated_basis(u, k)
@@ -292,7 +308,7 @@ def rho_u_occupation(u: PureState, k: int) -> DensityMatrix:
 
 def rho_u_closed_form(u: PureState, k: int) -> DensityMatrix:
     """rho_u_occupation lifted to (C^d)^{⊗k}: B rho B^T."""
-    check_budget("rho_u_closed_form", _dense_bytes(u.dim, k))
+    check_budget("rho_u_closed_form", lift_bytes(u.dim**k, sym_dimension(u.dim, k)))
     b = sym_basis(u.dim, k).vectors
     return DensityMatrix(b @ rho_u_occupation(u, k).matrix @ b.T)
 
@@ -312,7 +328,9 @@ def trace_distance_rho_u_block(d: int, k: int) -> float:
 
 def maximally_mixed_sym(d: int, k: int) -> DensityMatrix:
     """Maximally mixed state on the symmetric subspace."""
-    check_budget("maximally_mixed_sym", _dense_bytes(d, k))
+    n = d**k
+    # the scaled real copy of the projector, then its complex DensityMatrix
+    check_budget("maximally_mixed_sym", 8 * n * n + _density_bytes(n))
     return DensityMatrix(sym_projector(d, k) / sym_dimension(d, k))
 
 
@@ -364,8 +382,10 @@ def _mp_terms(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.bincount(group)
     n_terms = int(sizes @ sizes)
     # indices, weights and gathers of the build; a call then holds 40 bytes
-    # a term and eight complex D x D arrays
-    check_budget("measure-and-prepare terms", pair_bytes + 56 * n_terms + 128 * n * n)
+    # a term, Y, and its hermitian part with its DensityMatrix check
+    check_budget(
+        "measure-and-prepare terms", pair_bytes + 56 * n_terms + 16 * n * n + _density_bytes(n)
+    )
     order = np.argsort(group, kind="stable")
     g = group[order]
     reps = sizes[g]  # each pair meets every pair of its group
@@ -407,7 +427,8 @@ def mp_channel(tau: DensityMatrix, d: int, k: int) -> DensityMatrix:
     Inputs not supported on the symmetric subspace are projected there
     with a warning.
     """
-    check_budget("mp_channel", _dense_bytes(d, k))
+    # projecting tau down holds less than lifting the output up
+    check_budget("mp_channel", lift_bytes(d**k, sym_dimension(d, k)))
     b = sym_basis(d, k).vectors
     x = b.T @ tau.matrix @ b
     tr = float(np.trace(x).real)
@@ -424,7 +445,10 @@ def clone_channel(rho: np.ndarray | None, d: int, s: int, k: int) -> DensityMatr
     """
     if not 0 <= s <= k:
         raise ValueError("need 0 <= s <= k")
-    check_budget("clone_channel", _dense_bytes(d, k))
+    n = d**k
+    # the lifted input, a complex copy of the projector for each product
+    # and the product, then the output with its DensityMatrix check
+    check_budget("clone_channel", 48 * n * n + _density_bytes(n))
     if s == 0:
         base = np.eye(1, dtype=complex) if rho is None else np.atleast_2d(rho)
         scale_in = float(np.trace(base).real)
@@ -440,9 +464,10 @@ def clone_channel(rho: np.ndarray | None, d: int, s: int, k: int) -> DensityMatr
 def chiribella_combination(rho: DensityMatrix, d: int, k: int) -> DensityMatrix:
     """Convex combination of cloning channels applied to the partial traces
     of rho; equals the measure-and-prepare channel output."""
-    check_budget("chiribella_combination", _dense_bytes(d, k))
-    den = math.comb(d + 2 * k - 1, k)
     n = d**k
+    # the accumulator and a weighted term beside one cloning channel's build
+    check_budget("chiribella_combination", 80 * n * n + _density_bytes(n))
+    den = math.comb(d + 2 * k - 1, k)
     acc = np.zeros((n, n), dtype=complex)
     for s in range(k + 1):
         weight = math.comb(k, s) * math.comb(d + k - 1, k - s) / den

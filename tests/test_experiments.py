@@ -310,7 +310,7 @@ def _refuse_dense_work(*args):
 def _spectrum_check_refused(d, k, monkeypatch, capsys):
     """spectrum-check's stderr line, asserting that it exits 2 with no dense work."""
     monkeypatch.setattr(sym, "rho_u_closed_form", _refuse_dense_work)
-    monkeypatch.setattr(oracles, "rho_u_numeric", _refuse_dense_work)
+    monkeypatch.setattr(oracles, "sym_projector_perm_sum", _refuse_dense_work)
     assert cli_main(["spectrum-check", "--d", str(d), "--k", str(k)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -320,7 +320,7 @@ def _spectrum_check_refused(d, k, monkeypatch, capsys):
 def test_spectrum_check_oracle_over_budget_exits_2_before_dense_work(monkeypatch, capsys):
     # the oracle's projector on 2k = 8 factors alone would take 32 GiB
     assert _spectrum_check_refused(4, 4, monkeypatch, capsys) == (
-        "dqipe: spectrum-check oracle: needs 131072.0 MiB, over the byte budget of 256 MiB\n"
+        "dqipe: rho_u_numeric: needs 98308.0 MiB, over the byte budget of 256 MiB\n"
     )
 
 
@@ -329,14 +329,14 @@ def test_spectrum_check_oracle_over_budget_exits_2_before_dense_work(monkeypatch
     [
         # (2k)! d^(4k) updates: hours of work in a few MiB
         (2, 5, "3.81e+12 element updates, over the work budget of 1e+10"),
-        (3, 4, "needs 1313.7 MiB, over the byte budget of 256 MiB"),
-        (2, 7, "needs 8192.0 MiB, over the byte budget of 256 MiB"),
-        # 1.2e10 updates and 512 MiB: refused on both counts
-        (4, 3, "needs 512.0 MiB, over the byte budget of 256 MiB"),
+        (3, 4, "needs 985.7 MiB, over the byte budget of 256 MiB"),
+        (2, 7, "needs 6145.0 MiB, over the byte budget of 256 MiB"),
+        # 1.2e10 updates and 384 MiB: refused on both counts
+        (4, 3, "needs 384.2 MiB, over the byte budget of 256 MiB"),
     ],
 )
 def test_spectrum_check_oracle_work_over_budget_exits_2(d, k, message, monkeypatch, capsys):
-    assert _spectrum_check_refused(d, k, monkeypatch, capsys) == f"dqipe: spectrum-check oracle: {message}\n"
+    assert _spectrum_check_refused(d, k, monkeypatch, capsys) == f"dqipe: rho_u_numeric: {message}\n"
 
 
 class _GuardPassed(Exception):
@@ -349,7 +349,7 @@ def test_spectrum_check_oracle_within_budget_runs(d, k, monkeypatch):
     def reached(*args):
         raise _GuardPassed
 
-    monkeypatch.setattr(sym, "rho_u_closed_form", reached)
+    monkeypatch.setattr(oracles, "sym_projector_perm_sum", reached)
     with pytest.raises(_GuardPassed):
         cli_main(["spectrum-check", "--d", str(d), "--k", str(k)])
 
@@ -408,6 +408,22 @@ def test_mp_bound_check_gate_has_power():
 def test_mp_bound_check_runs_at_k_squared_over_d_near_one(d, k):
     result = ex.run_experiment(ex.ExperimentConfig("mp-bound-check", d=d, k=k, trials=2))
     assert result.passed and result.summary["min_eig_slack"] > 0
+    # the anchor's lifts fit the budget at d^k = 729, not at 1728
+    assert ("anchor_dev" in result.summary) == (d**k < 1000)
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (4, 2), (4, 3)])
+def test_mp_bound_check_anchor_sees_a_transposed_contraction(d, k, monkeypatch):
+    config = ex.ExperimentConfig("mp-bound-check", d=d, k=k, trials=4)
+    result = ex.run_experiment(config)
+    assert result.passed and result.summary["anchor_dev"] <= 1e-14
+    channel = sym.mp_channel_occupation
+    monkeypatch.setattr(sym, "mp_channel_occupation", lambda x, d, k: channel(x.T, d, k))
+    mutated = ex.run_experiment(config)
+    # the spectrum cannot tell X from X^T; rho_u can
+    assert mutated.summary["min_eig_slack"] == pytest.approx(result.summary["min_eig_slack"], abs=1e-12)
+    assert mutated.summary["anchor_dev"] > 1e-3
+    assert not mutated.passed
 
 
 def test_mp_bound_check_over_budget_exits_2_before_the_pair_loop(monkeypatch, capsys):

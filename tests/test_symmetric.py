@@ -314,7 +314,9 @@ def _estimate_and_peak(monkeypatch, build):
         check(label, nbytes, updates)
 
     monkeypatch.setattr(sym, "check_budget", spy)
+    monkeypatch.setattr(oracles, "check_budget", spy)
     sym.sym_basis.cache_clear()
+    sym._sym_projector_cached.cache_clear()
     sym._mp_terms.cache_clear()
     tracemalloc.start()
     try:
@@ -334,6 +336,40 @@ def test_basis_byte_estimate_bounds_its_build(dk, monkeypatch):
 @pytest.mark.parametrize("dk", [(6, 2), (9, 3)])
 def test_term_list_byte_estimate_bounds_its_build(dk, monkeypatch):
     estimate, peak = _estimate_and_peak(monkeypatch, lambda: sym._mp_terms(*dk))
+    assert estimate >= peak
+
+
+def _dense_builds(d, k):
+    u = sample_haar_state(d, RngStream(40 + d))
+    v = u.amplitudes
+    for _ in range(k - 1):
+        v = np.kron(v, u.amplitudes)
+    tau = DensityMatrix(np.outer(v, v.conj()))
+    return {
+        "sym_projector": lambda: sym.sym_projector(d, k),
+        "maximally_mixed_sym": lambda: sym.maximally_mixed_sym(d, k),
+        "pi_u_t": lambda: sym.pi_u_t(u, k, 1),
+        "rho_u_occupation": lambda: sym.rho_u_occupation(u, k),
+        "rho_u_closed_form": lambda: sym.rho_u_closed_form(u, k),
+        "mp_channel": lambda: sym.mp_channel(tau, d, k),
+        "clone_channel_s0": lambda: sym.clone_channel(None, d, 0, k),
+        "clone_channel_s1": lambda: sym.clone_channel(u.density().matrix, d, 1, k),
+        "chiribella_combination": lambda: sym.chiribella_combination(tau, d, k),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dense_builds(2, 1)))
+@pytest.mark.parametrize("dk", [(6, 3), (16, 2)])
+def test_dense_byte_estimate_bounds_its_build(name, dk, monkeypatch):
+    build = _dense_builds(*dk)[name]
+    estimate, peak = _estimate_and_peak(monkeypatch, build)
+    assert estimate >= peak
+
+
+@pytest.mark.parametrize("dk", [(4, 2), (3, 2)])
+def test_oracle_byte_estimate_bounds_its_build(dk, monkeypatch):
+    u = sample_haar_state(dk[0], RngStream(3)).amplitudes
+    estimate, peak = _estimate_and_peak(monkeypatch, lambda: oracles.rho_u_numeric(u, dk[1]))
     assert estimate >= peak
 
 
