@@ -19,6 +19,7 @@ import io
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from importlib import resources
@@ -180,6 +181,30 @@ def gen_problem1_instance(
     return build(theta, phi), build(theta2, psi)
 
 
+# Streams that one RngStream.prefetch derives together, rounded down to
+# whole trials (at least one). The table holds one block at a time, so this
+# bounds its memory, not the result.
+_STREAM_BLOCK = 768
+
+# Sub-paths of a trial stream that the two-party loops draw from: the
+# instance, then each party's measurement.
+_PARTY_STREAMS = ((0,), (1, est.STREAM_ALICE), (1, est.STREAM_BOB))
+
+
+def _prefetched_trials(
+    root: RngStream, prefix: tuple[int, ...], trials: int, streams
+) -> Iterator[int]:
+    """Trial indices 0..trials-1; before each block's first trial, prefetch
+    the seed words of root.child(*prefix, t, *sub) for each of its trials t
+    and each sub in streams."""
+    base = root.path + prefix
+    step = max(1, _STREAM_BLOCK // len(streams))
+    for lo in range(0, trials, step):
+        block = range(lo, min(lo + step, trials))
+        root.prefetch([base + (t,) + sub for t in block for sub in streams])
+        yield from block
+
+
 def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream) -> int:
     """Trials of the given case that the threshold decider gets right.
 
@@ -188,7 +213,7 @@ def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream)
     dipe-threshold experiment and scripts/calibrate_dipe.py both call this,
     so the calibration replays the experiment's draws."""
     hits = 0
-    for t in range(trials):
+    for t in _prefetched_trials(root, (case,), trials, _PARTY_STREAMS):
         tr = root.child(case, t)
         phi, psi = gen_dipe_instance(d, case, tr.child(0))
         u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
@@ -284,15 +309,17 @@ def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
 
 def _run_estimate(
     config: ExperimentConfig, root: RngStream, strategies, params: dict,
-    shared_randomness: bool = False,
+    streams, shared_randomness: bool = False,
 ) -> tuple[list, dict, bool]:
     """Run an SMP estimation protocol once per trial; params are the
-    estimator's parameters, reported in each hello frame and the summary."""
+    estimator's parameters, reported in each hello frame and the summary.
+    streams are the sub-paths of trial t's stream (t,) that the state pair
+    and the strategies draw from."""
     transport = open_transport(config.transport)
     alice, bob, referee = strategies
     rows = []
     try:
-        for t in range(config.trials):
+        for t in _prefetched_trials(root, (), config.trials, streams):
             phi, psi = est.make_state_pair(config.d, config.f, root.child(t, 0))
             run_rng = root.child(t, 1)
             run = run_protocol(
@@ -323,13 +350,19 @@ def _run_estimate(
 
 def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 8
-    return _run_estimate(config, root, multicopy_smp_strategies(k), {"k": k})
+    return _run_estimate(config, root, multicopy_smp_strategies(k), {"k": k}, _PARTY_STREAMS)
 
 
 def _run_estimate_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     strategies = singlecopy_smp_strategies(config.d, config.n_bases, config.m)
     params = {"n_bases": config.n_bases, "m": config.m}
-    return _run_estimate(config, root, strategies, params, shared_randomness=True)
+    # basis i: shared child i, and each party's shots from its own child i
+    streams = [(0,)] + [
+        (1, party, i)
+        for i in range(config.n_bases)
+        for party in (est.STREAM_SHARED, est.STREAM_ALICE, est.STREAM_BOB)
+    ]
+    return _run_estimate(config, root, strategies, params, streams, shared_randomness=True)
 
 
 def _record_case(summary: dict, case: int, hits: int, trials: int) -> float:
@@ -364,7 +397,7 @@ def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
     try:
         for case in (1, 2):
             hits = 0
-            for t in range(config.trials):
+            for t in _prefetched_trials(root, (case,), config.trials, _PARTY_STREAMS):
                 tr = root.child(case, t)
                 phi, psi = gen_dipe_instance(config.d, case, tr.child(0))
                 run = run_protocol(
@@ -573,7 +606,7 @@ def _run_problem1(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
     ok = True
     for case in (1, 2):
         hits = 0
-        for t in range(config.trials):
+        for t in _prefetched_trials(root, (case,), config.trials, _PARTY_STREAMS):
             tr = root.child(case, t)
             a, b = gen_problem1_instance(config.d, config.eps, case, tr.child(0))
             rec = est.multicopy_estimate(a, b, k, tr.child(1))

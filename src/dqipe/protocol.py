@@ -284,7 +284,11 @@ def _edge_label(m: Message) -> str:
 
 
 def transcript_cost(t: Transcript) -> tuple[int, int]:
-    """(message count, total bytes on the wire)."""
+    """(message count, total bytes on the wire) of the parties' messages.
+
+    The hello and result frames that run_protocol also sends through the
+    transport carry bookkeeping, not the protocol's communication, and are
+    not counted."""
     return len(t.messages), sum(m.nbytes for m in t.messages)
 
 

@@ -9,19 +9,138 @@ independent streams, so parallel trials and parties never share state.
 A stream builds its Generator on the first draw: deriving a child only to
 fork it further, or handing one to a party that never draws, costs no
 SeedSequence hashing.
+
+Building one SeedSequence and its state costs about 25 us, so trial loops call
+`prefetch` on the root stream: it derives the PCG64 seed words of a whole
+block of paths in one numpy pass (`seed_words`, a port of SeedSequence's
+mixing) into a table that every descendant of the root shares. A stream
+whose path is in the table seeds its PCG64 from those words, which are the
+bits SeedSequence(seed, spawn_key=path) would give; any other stream, and
+any path with an entry of 2**32 or more, falls back to SeedSequence itself.
+So the table can only make a stream cheaper to build, never different.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["RngStream", "seed_words"]
+
+# numpy.random.SeedSequence's constants (O'Neill's seed_seq_fe, 4-word pool)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n as little-endian 32-bit words, [0] for 0 (SeedSequence's coercion)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i in 0..count: the hash constant before
+    each of count hashes, and after the last."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix as m consecutive calls, one per element along
+    value's last axis: call j xors with consts[j] and multiplies by
+    consts[j + 1], the chain's constant before and after it."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def seed_words(seed: int, paths: list[tuple[int, ...]]) -> np.ndarray:
+    """Row i: SeedSequence(seed, spawn_key=paths[i]).generate_state(4, np.uint64).
+
+    SeedSequence hashes its entropy words into a 4-word pool, then reads the
+    state off the pool. Here every path is one row, and each step of that
+    mixing is one uint32 array operation over all rows. Path entries must
+    lie below 2**32 (one entropy word each); OverflowError otherwise."""
+    run = _uint32_words(seed)
+    extra = max(len(run) - _POOL_SIZE, 0)
+    n = len(paths)
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=n)
+    words = np.fromiter(
+        itertools.chain.from_iterable(paths), dtype=np.uint32, count=int(lengths.sum())
+    )
+    # row i: the entropy words past the pool, the seed's beyond its fourth
+    # and then path i, zero-padded to the longest row
+    tail = np.zeros((n, extra + int(lengths.max(initial=0))), dtype=np.uint32)
+    tail[:, :extra] = run[_POOL_SIZE:]
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tail[np.repeat(np.arange(n), lengths), extra + np.arange(words.size) - starts] = words
+    lengths += extra
+    # 4 hashes fill the pool, 12 mix it, and 4 per word past the pool
+    hashes = _consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * tail.shape[1])
+    # The seed's first words fill the pool, zero-padded when a spawn key
+    # follows; with no spawn key SeedSequence hashes zeros into the pool's
+    # tail, the same bits. Then all pool words are mixed together so late
+    # bits can affect earlier ones. Both steps are common to every row.
+    pool = _hash(np.array((run + [0] * _POOL_SIZE)[:_POOL_SIZE], dtype=np.uint32), hashes[: _POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed = _hash(pool[src : src + 1], hashes[at : at + 2])
+                pool[dst : dst + 1] = _mix(pool[dst : dst + 1], hashed)
+                at += 1
+    pool = np.broadcast_to(pool, (n, _POOL_SIZE))
+    # each word past the pool is mixed into every pool word; shorter rows stop
+    for j in range(tail.shape[1]):
+        mixed = _mix(pool, _hash(tail[:, j : j + 1], hashes[at : at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+        done = lengths <= j
+        pool = np.where(done[:, None], pool, mixed) if done.any() else mixed
+    # generate_state(4, uint64): 8 words cycled from the pool, read as
+    # little-endian pairs
+    state = _hash(np.tile(pool, 2), _consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """Hands PCG64 the seed words that seed_words computed for its path.
+
+    PCG64 takes it only as a numpy ISeedSequence; prefetch registers it as
+    one, so that importing this module still does not import numpy.random."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly this; anything else would need the pool
+        if n_words != _POOL_SIZE or dtype is not np.uint64:
+            raise ValueError("prefetched seed words serve PCG64 only: 4 uint64 words")
+        return self.words
 
 
 class RngStream:
     """A seeded, forkable random stream backed by numpy's SeedSequence."""
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("seed", "path", "_gen", "_table")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -32,19 +151,38 @@ class RngStream:
                 f"seed and path must be non-negative, got {self.seed} and {self.path}"
             )
         self._gen = None
+        # full path -> PCG64 seed words; child() hands this dict on, so a
+        # root and all its descendants share one
+        self._table = {}
 
     def child(self, *path: int) -> "RngStream":
         """Derive an independent stream at a sub-path."""
-        return RngStream(self.seed, self.path + path)
+        stream = RngStream(self.seed, self.path + path)
+        stream._table = self._table
+        return stream
+
+    def prefetch(self, paths: list[tuple[int, ...]]) -> None:
+        """Replace the shared table with the seed words of these full paths.
+
+        Paths with an entry of 2**32 or more are left out; they fall back to
+        SeedSequence like any other path missing from the table."""
+        if max(itertools.chain.from_iterable(paths), default=0) > _MASK32:
+            paths = [p for p in paths if max(p, default=0) <= _MASK32]
+        np.random.bit_generator.ISeedSequence.register(_SeedWords)
+        self._table.clear()
+        self._table.update(zip(paths, seed_words(self.seed, paths)))
 
     @property
     def rng(self) -> np.random.Generator:
         gen = self._gen
         if gen is None:
             # the same bits as default_rng(SeedSequence(seed, spawn_key=path))
-            gen = self._gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.path))
+            words = self._table.get(self.path)
+            seq = (
+                np.random.SeedSequence(self.seed, spawn_key=self.path)
+                if words is None else _SeedWords(words)
             )
+            gen = self._gen = np.random.Generator(np.random.PCG64(seq))
         return gen
 
     def __repr__(self) -> str:

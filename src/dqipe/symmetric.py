@@ -214,9 +214,14 @@ def beta_coefficient(d: int, k: int, t: int) -> float:
 
 
 def block_dimension(d: int, k: int, t: int) -> int:
-    """dim W^t = C(d+k-t-2, k-t): symmetric states with t factors pinned."""
+    """dim W^t = C(d+k-t-2, k-t): symmetric states with t factors pinned.
+
+    W^k is u^{⊗k} alone, dimension 1 for every d; at d=1 the formula would
+    read C(-1, 0) there."""
     if not 0 <= t <= k:
         raise ValueError(f"t={t} out of range [0, {k}]")
+    if t == k:
+        return 1
     return math.comb(d + k - t - 2, k - t)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dqipe import experiments as ex
 from dqipe import oracles, wire
+from dqipe import rng as rng_module
 from dqipe import symmetric as sym
 from dqipe.cli import main as cli_main
 from dqipe.linalg import DensityMatrix, dmax, overlap2
@@ -110,6 +111,56 @@ def test_calibration_replays_dipe_threshold_draws(seed):
     summary = ex.run_experiment(cfg).summary
     for case in (1, 2):
         assert hits[case] == round(summary[f"success_rate_case{case}"] * trials)
+
+
+# --- stream prefetch ---
+
+
+_PREFETCHED_LOOPS = [
+    ("estimate-multicopy", {}),
+    ("estimate-singlecopy", {"n_bases": 3}),
+    ("dipe-threshold", {"d": 16}),
+    ("dipe-pi0", {}),
+    ("problem1-distinguish", {}),
+]
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 + 1])
+@pytest.mark.parametrize("experiment,overrides", _PREFETCHED_LOOPS)
+def test_stream_prefetch_changes_no_output(experiment, overrides, seed, monkeypatch):
+    """The prefetch table only makes streams cheaper: with every lookup
+    missing, each loop gives the same document; with the table, every
+    stream the loop builds is found in it."""
+    built = {"table": 0, "seed_sequence": 0}
+
+    class TableWords(rng_module._SeedWords):
+        def __init__(self, words):
+            built["table"] += 1
+            super().__init__(words)
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built["seed_sequence"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rng_module, "_SeedWords", TableWords)
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    # blocks of 20 streams: 20 trials end in a partial block
+    monkeypatch.setattr(ex, "_STREAM_BLOCK", 20)
+    cfg = ex.ExperimentConfig(experiment, trials=20, seed=seed, **overrides)
+
+    def document():
+        doc = json.loads(ex.emit_result(ex.run_experiment(cfg)))
+        del doc["wall_clock"]
+        return doc
+
+    with_table = document()
+    assert built["table"] > 0 and built["seed_sequence"] == 0
+    with monkeypatch.context() as m:
+        m.setattr(rng_module.RngStream, "prefetch", lambda self, paths: None)
+        built["table"] = 0
+        assert document() == with_table
+    assert built["table"] == 0 and built["seed_sequence"] > 0
 
 
 # --- batch kernels ---
@@ -283,6 +334,15 @@ def test_cli_fail_exit_code(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("dipe-threshold: FAIL")
     assert json.loads(out.read_text())["passed"] is False
+
+
+@pytest.mark.parametrize("experiment", ["tracedist-check", "spectrum-check", "mp-bound-check"])
+def test_sym_k_checks_pass_at_d1(experiment, capsys):
+    # Sym^k(C^1) is one-dimensional: rho_u is the 1 x 1 identity
+    assert cli_main([experiment, "--d", "1", "--trials", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    deviations = {"tracedist-check": "dense", "spectrum-check": "max_entry_dev", "mp-bound-check": "anchor_dev"}
+    assert doc["summary"][deviations[experiment]] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqipe.rng import RngStream
+from dqipe.rng import RngStream, seed_words
 
 
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
@@ -69,3 +69,54 @@ def test_negative_seed_or_path_rejected_at_construction():
         RngStream(3, (0, -2))
     with pytest.raises(ValueError):
         RngStream(3).child(-1)
+
+
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
+
+
+@given(
+    seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(min_value=0, max_value=2**200 - 1)),
+    paths=st.lists(
+        st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=5).map(tuple),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_seed_words_match_seed_sequence(seed, paths):
+    # a port of numpy's SeedSequence mixing; if numpy changes its algorithm
+    # this fails, and the prefetch table would stop giving numpy's bits
+    for path, words in zip(paths, seed_words(seed, paths)):
+        expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+        assert np.array_equal(words, expected)
+    root = RngStream(seed)
+    root.prefetch(paths)
+    for path in paths:
+        gen = root.child(*path).rng
+        assert not isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence)
+        expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+        assert np.array_equal(gen.random(4), expected.random(4))
+
+
+def test_path_entries_past_32_bits_fall_back_to_seed_sequence():
+    with pytest.raises(OverflowError):
+        seed_words(2**64 + 5, [(7, 2**40)])
+    root = RngStream(2**64 + 5)
+    root.prefetch([(7, 2**40), (7, 1)])
+    for path, prefetched in (((7, 2**40), False), ((7, 1), True)):
+        gen = root.child(*path).rng
+        assert isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence) != prefetched
+        expected = np.random.default_rng(np.random.SeedSequence(2**64 + 5, spawn_key=path))
+        assert np.array_equal(gen.random(8), expected.random(8))
+
+
+def test_prefetch_keeps_one_block_shared_by_all_descendants():
+    root = RngStream(3)
+    trial = root.child(0)  # derived before the block, it still sees it
+    root.prefetch([(0, 1)])
+    assert not isinstance(trial.child(1).rng.bit_generator.seed_seq, np.random.SeedSequence)
+    root.prefetch([(1, 1)])
+    # the earlier block is gone, so (0, 1) builds its own SeedSequence
+    assert isinstance(root.child(0, 1).rng.bit_generator.seed_seq, np.random.SeedSequence)
+    assert np.array_equal(
+        root.child(0, 1).rng.random(4), RngStream(3, (0, 1)).rng.random(4)
+    )

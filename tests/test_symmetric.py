@@ -120,6 +120,14 @@ def test_block_coefficients_sum_to_one(dk):
     assert total == Fraction(1)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_block_dimensions_sum_to_sym_dimension(d):
+    # at d=1 only W^k, u^{⊗k} itself, is nonzero
+    for k in range(8):
+        blocks = [sym.block_dimension(d, k, t) for t in range(k + 1)]
+        assert sum(blocks) == sym.sym_dimension(d, k)
+
+
 def test_block_coefficients_d3_k2():
     assert sym.beta_coefficient_exact(3, 2, 0) == Fraction(1, 15)
     assert sym.beta_coefficient_exact(3, 2, 1) == Fraction(1, 5)
