@@ -3,8 +3,14 @@
 
 Sweeps c over a grid, runs the decider with k = c * ceil(sqrt(d)) at
 several dimensions, and keeps the smallest c whose worst-case Wilson-95
-lower bound stays at or above the target success rate. Writes the fitted
-constant into src/dqipe/defaults.json (bump "version" on recalibration).
+lower bound stays at or above the target success rate. Then, at that c,
+walks d down from the smallest calibrated dimension and keeps the
+smallest d from which every dimension passes: below it two independent
+Haar states overlap by more than 1/2 too often (probability 2^(1-d)) for
+any k to decide the promise. --write stores both in
+src/dqipe/defaults.json and bumps its "version".
+
+    PYTHONPATH=src python3 scripts/calibrate_dipe.py --write
 """
 
 import argparse
@@ -35,9 +41,7 @@ def success_lower_bound(d: int, c: int, trials: int, seed: int) -> float:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    # the fixed 10/d decision threshold needs k ~ d copies below d ~ 32,
-    # so calibrate in the square-root regime the decider is designed for
-    ap.add_argument("--dims", type=int, nargs="+", default=[64, 256])
+    ap.add_argument("--dims", type=int, nargs="+", default=[8, 16, 64, 256])
     ap.add_argument("--cs", type=int, nargs="+", default=[2, 4, 6, 8, 10, 12])
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--target", type=float, default=0.9)
@@ -57,9 +61,19 @@ def main() -> None:
         raise SystemExit("no c in the grid reaches the target; widen the grid")
     print(f"smallest passing c: {chosen}")
 
+    min_d = min(args.dims)
+    while min_d > 2:
+        worst = success_lower_bound(min_d - 1, chosen, args.trials, args.seed + min_d - 1)
+        print(f"d={min_d - 1:3d}  Wilson-95 lower bound {worst:.3f} at c={chosen}")
+        if worst < args.target:
+            break
+        min_d -= 1
+    print(f"smallest passing d: {min_d}")
+
     if args.write:
         defaults = json.loads(DEFAULTS_PATH.read_text())
         defaults["dipe_threshold_c"] = chosen
+        defaults["dipe_threshold_min_d"] = min_d
         defaults["version"] = defaults.get("version", 0) + 1
         DEFAULTS_PATH.write_text(json.dumps(defaults, indent=2) + "\n")
         print(f"wrote {DEFAULTS_PATH}")

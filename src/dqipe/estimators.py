@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import (
-    PureState, DensityMatrix, overlap2, trace_inner, sample_haar_state, sample_haar_unitary,
-    sample_orthogonal_unit,
+    PureState, DensityMatrix, overlap2, trace_inner, haar_states, orthogonal_units,
+    sample_haar_state, sample_haar_unitary,
 )
 from .rng import RngStream
 from .symmetric import standard_povm_sample
@@ -177,28 +177,49 @@ def multicopy_variance_bound(d: int, k: int, f: float) -> float:
     )
 
 
-def born_sample(rho: DensityMatrix, unitary: np.ndarray, m: int, rng: RngStream) -> np.ndarray:
-    """Draw m outcomes of the basis measurement U rho U^† in the
-    computational basis, from the exact outcome distribution."""
-    probs = np.einsum("bi,ij,bj->b", unitary, rho.matrix, unitary.conj()).real
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise RuntimeError(f"born_sample: outcome probabilities sum to {total}")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return rng.rng.choice(rho.dim, size=m, p=probs)
+def pure_born_probabilities(unitaries: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """|U phi|^2: outcome probabilities of measuring the unit vector states[i, s]
+    in the basis unitaries[i], shapes (n, d, d) and (n, s, d) to (n, s, d)."""
+    return np.abs(np.vecdot(unitaries[:, None], states.conj()[:, :, None])) ** 2
+
+
+def born_counts(probs: np.ndarray, m: int, g: np.random.Generator) -> np.ndarray:
+    """Outcome counts of m shots for each row (last axis) of probabilities,
+    from one multinomial call, which walks the rows in C order."""
+    total = probs.sum(axis=-1, keepdims=True)
+    bad = np.abs(total - 1.0) > 1e-8
+    if bad.any():
+        raise RuntimeError(f"born_sample: outcome probabilities sum to {total[bad][0]}")
+    return g.multinomial(m, probs / total)
+
+
+def born_sample(rho: PureState | DensityMatrix, unitary: np.ndarray, m: int, rng: RngStream) -> np.ndarray:
+    """Draw m outcomes of measuring rho in the basis of unitary's rows: the
+    counts of born_counts at n=1, listed in ascending order.
+
+    For a pure state the probabilities are |U phi|^2, for a density matrix
+    diag(U rho U^†) clipped at 0."""
+    if isinstance(rho, DensityMatrix):
+        probs = np.clip(((unitary @ rho.matrix) * unitary.conj()).sum(axis=1).real, 0.0, None)
+    else:
+        probs = pure_born_probabilities(unitary[None], rho.amplitudes[None, None])[0, 0]
+    return np.repeat(np.arange(rho.dim), born_counts(probs, m, rng.rng))
+
+
+def collision_fractions(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Fraction of colliding ordered cross pairs for each row of the two
+    parties' outcome counts (last axis)."""
+    return np.vecdot(cx, cy) / (cx.sum(axis=-1) * cy.sum(axis=-1))
 
 
 def classical_collision(x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of colliding ordered cross pairs between two outcome lists."""
-    x = np.asarray(x)
-    y = np.asarray(y)
+    """Fraction of colliding ordered cross pairs between two outcome lists:
+    collision_fractions of their counts."""
+    x, y = np.asarray(x), np.asarray(y)
     if x.size == 0 or y.size == 0:
         raise ValueError("need at least one sample on each side")
     hi = int(max(x.max(), y.max())) + 1
-    cx = np.bincount(x, minlength=hi)
-    cy = np.bincount(y, minlength=hi)
-    return float(cx @ cy) / (x.size * y.size)
+    return float(collision_fractions(np.bincount(x, minlength=hi), np.bincount(y, minlength=hi)))
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -234,18 +255,16 @@ def singlecopy_estimate(
     referee rescales the cross-collision fraction; the reported value is
     the average over bases. Accepts mixed states. Not clamped.
     """
-    rho_m = rho.density() if isinstance(rho, PureState) else rho
-    sigma_m = sigma.density() if isinstance(sigma, PureState) else sigma
-    if rho_m.dim != sigma_m.dim:
+    if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    d = rho_m.dim
+    d = rho.dim
     if n_bases < 1 or m < 1:
         raise ValueError("need n_bases >= 1 and m >= 1")
     if d == 1:
         warnings.warn("singlecopy_estimate degenerate at d=1: overlap is exactly 1")
     shared = rng.child(STREAM_SHARED)
-    x = singlecopy_outcomes(rho_m, n_bases, m, shared, rng.child(STREAM_ALICE))
-    y = singlecopy_outcomes(sigma_m, n_bases, m, shared, rng.child(STREAM_BOB))
+    x = singlecopy_outcomes(rho, n_bases, m, shared, rng.child(STREAM_ALICE))
+    y = singlecopy_outcomes(sigma, n_bases, m, shared, rng.child(STREAM_BOB))
     w, raw = singlecopy_referee(x, y, d)
     return EstimateRecord(
         value=w, raw=raw, d=d, k=1, n_bases=n_bases, m=m, seed=rng.seed, path=rng.path,
@@ -254,12 +273,12 @@ def singlecopy_estimate(
 
 
 def singlecopy_outcomes(
-    rho: DensityMatrix, n_bases: int, m: int, shared: RngStream, rng: RngStream
+    rho: PureState | DensityMatrix, n_bases: int, m: int, shared: RngStream, rng: RngStream
 ) -> np.ndarray:
     """Party step of the single-copy route: an (n_bases, m) array of outcomes.
 
     Basis i is the Haar unitary drawn from shared.child(i); its m shots
-    come from rng.child(i)."""
+    come from rng.child(i), in ascending order."""
     out = np.empty((n_bases, m), dtype=np.int64)
     for i in range(n_bases):
         u = sample_haar_unitary(rho.dim, shared.child(i))
@@ -309,10 +328,11 @@ def generalized_swap_variance(rho: DensityMatrix, sigma: DensityMatrix, k: int) 
     return 1.0 / k**2 + ((k - 1) / k**2) * (r2s + rs2) - ((2 * k - 1) / k**2) * f**2
 
 
-def dipe_decide_threshold(u: PureState, v: PureState, d: int) -> int:
-    """Decide the orthogonal-vs-matching promise from the two POVM outcomes:
-    case 2 (orthogonal) iff |<u|v>|^2 <= 10/d."""
-    return 2 if overlap2(u, v) <= 10.0 / d else 1
+def dipe_decide_threshold(u: PureState, v: PureState, k: int) -> int:
+    """Decide the matching-vs-independent promise from the two parties' POVM
+    outcomes on k copies each: case 1 (matching) iff the multi-copy estimate
+    exceeds 1/2."""
+    return 1 if multicopy_referee(u, v, k)[0] > 0.5 else 2
 
 
 def pi0_reject_probability(u: PureState, psi: PureState, k: int) -> float:
@@ -328,15 +348,23 @@ def dipe_decide_pi0(u: PureState, psi: PureState, k: int, rng: RngStream) -> int
     return 2 if rng.rng.random() < pi0_reject_probability(u, psi, k) else 1
 
 
+def state_pairs(d: int, f: float, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n Haar random pairs (phi, psi) with |<phi|psi>|^2 = f, as two (n, d)
+    arrays: psi = sqrt(f) phi + sqrt(1 - f) z, z Haar orthogonal to phi."""
+    phi = haar_states(d, n, g)
+    z = orthogonal_units(phi, g)
+    return phi, math.sqrt(f) * phi + math.sqrt(1.0 - f) * z
+
+
 def make_state_pair(d: int, f: float, rng: RngStream) -> tuple[PureState, PureState]:
-    """Haar-random pair of pure states with squared overlap exactly f."""
+    """Haar-random pair of pure states with squared overlap exactly f:
+    state_pairs at n=1."""
     if not 0.0 <= f <= 1.0:
         raise ValueError("f must lie in [0, 1]")
-    phi = sample_haar_state(d, rng)
-    if f == 1.0:
-        return phi, phi
     if d == 1:
-        raise ValueError("d=1 admits only f=1")
-    z = sample_orthogonal_unit(phi, rng)
-    psi = math.sqrt(f) * phi.amplitudes + math.sqrt(1.0 - f) * z
-    return phi, PureState(psi)
+        if f != 1.0:
+            raise ValueError("d=1 admits only f=1")
+        phi = sample_haar_state(1, rng)
+        return phi, phi
+    phi, psi = state_pairs(d, f, 1, rng.rng)
+    return PureState(phi[0]), PureState(psi[0])

@@ -4,11 +4,12 @@ Instance generators for the promise problems and lower-bound witness
 constructions, the named experiments dispatched by the CLI, Wilson
 confidence intervals, and CSV/JSON result files that round-trip.
 
-CSV layout: comment lines "# config: <json>", "# passed: ...", then a
-header row and data rows. Estimate experiments emit one row per trial
-with columns (trial, seed_path, w, raw_stat); check experiments emit the
-summary as a single row. JSON files mirror the same content with a
-"summary" object.
+CSV layout: comment lines "# output_version: <n>", "# config: <json>",
+"# passed: ...", "# summary: <json>", then a header row and data rows.
+Estimate experiments emit one row per trial with columns (trial,
+seed_path, w, raw_stat); check experiments emit the summary as a single
+row. JSON files mirror the same content with an "output_version" field
+and a "summary" object.
 """
 
 from __future__ import annotations
@@ -29,12 +30,16 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     PureState,
+    complex_normals,
+    haar_unitaries,
     sample_haar_state,
+    squared_overlaps,
     trace_distance,
 )
 from .rng import RngStream
 from . import estimators as est
 from . import symmetric as sym
+from .symmetric import povm_samples as _povm_samples_batch  # imported by the acceptance tests
 from . import oracles
 from .protocol import (
     Role,
@@ -48,6 +53,7 @@ from .protocol import (
 from .wire import open_transport
 
 __all__ = [
+    "OUTPUT_VERSION",
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
@@ -60,6 +66,11 @@ __all__ = [
     "emit_result",
     "parse_result",
 ]
+
+# Version of the result documents: 2 once the scalar API and the strategies
+# drew through the batch samplers. Documents without the field are version 1.
+OUTPUT_VERSION = 2
+
 
 def load_defaults() -> dict:
     """Calibrated constants shipped with the package (see scripts/)."""
@@ -108,15 +119,12 @@ class ExperimentResult:
     summary: dict
     passed: bool
     wall_clock: float = 0.0
+    output_version: int = OUTPUT_VERSION
 
     def content_equal(self, other: "ExperimentResult") -> bool:
         """Equality up to wall-clock time; used for round-trip checks."""
-        return (
-            self.config == other.config
-            and self.rows == other.rows
-            and self.summary == other.summary
-            and self.passed == other.passed
-        )
+        fields = ("output_version", "config", "rows", "summary", "passed")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -218,47 +226,20 @@ def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream)
         phi, psi = gen_dipe_instance(d, case, tr.child(0))
         u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
         v = sym.standard_povm_sample(psi, k, tr.child(1, est.STREAM_BOB))
-        hits += est.dipe_decide_threshold(u, v, d) == case
+        hits += est.dipe_decide_threshold(u, v, k) == case
     return hits
 
 
-# --- fast vectorized samplers for the variance checks ---
+# --- vectorized kernels for the variance checks ---
 #
-# The order in which these samplers draw from the Generator is part of
-# their output: a seeded run must give the same bits on every release, so
-# reordering, batching or resizing any draw changes every gate statistic.
+# Each kernel draws its n trials through the samplers that the scalar API
+# and the protocol strategies call at n=1 (see linalg), so the variance
+# gates test the protocol's own arithmetic.
 
 # Trials per post-draw block of _singlecopy_w_batch. LAPACK factors each
 # matrix on its own, so the result does not depend on it; it only bounds
 # the QR working set.
 _SINGLECOPY_BLOCK = 2048
-
-
-def _orthogonal_units(states: np.ndarray, g: np.random.Generator) -> np.ndarray:
-    """Row i: a Haar random unit vector orthogonal to states[i]."""
-    z = g.standard_normal(states.shape) + 1j * g.standard_normal(states.shape)
-    z -= states * np.einsum("nd,nd->n", states.conj(), z)[:, None]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
-
-
-def _haar_pairs(d: int, f: float, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    phi = g.standard_normal((n, d)) + 1j * g.standard_normal((n, d))
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    z = _orthogonal_units(phi, g)
-    psi = math.sqrt(f) * phi + math.sqrt(1.0 - f) * z
-    return phi, psi
-
-
-def _povm_samples_batch(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
-    n, d = states.shape
-    a2 = g.beta(k + 1, d - 1, size=n)
-    theta = g.uniform(0.0, 2.0 * math.pi, size=n)
-    z = _orthogonal_units(states, g)
-    return (
-        np.sqrt(a2)[:, None] * np.exp(1j * theta)[:, None] * states
-        + np.sqrt(1.0 - a2)[:, None] * z
-    )
 
 
 def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator) -> np.ndarray:
@@ -268,29 +249,23 @@ def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator
     call on its (trial, party, outcome) probabilities, which numpy walks in
     C order: trial i's Alice counts, then its Bob counts, as a per-trial
     loop would draw them."""
-    phi, psi = _haar_pairs(d, f, n, g)
-    z = g.standard_normal((n, d, d)) + 1j * g.standard_normal((n, d, d))
+    phi, psi = est.state_pairs(d, f, n, g)
+    z = complex_normals((n, d, d), g)
     states = np.stack([phi, psi], axis=1)
     w = np.empty(n)
     for lo in range(0, n, _SINGLECOPY_BLOCK):
         blk = slice(lo, lo + _SINGLECOPY_BLOCK)
-        q, r = np.linalg.qr(z[blk])
-        diag = np.einsum("nii->ni", r)
-        u = q * (diag / np.abs(diag))[:, None, :]
-        probs = np.abs(np.einsum("nbi,nsi->nsb", u, states[blk])) ** 2
-        probs /= probs.sum(axis=2, keepdims=True)
-        counts = g.multinomial(m, probs)
-        collisions = np.einsum("nb,nb->n", counts[:, 0], counts[:, 1]).astype(float)
-        w[blk] = (d + 1) * collisions / m**2 - 1.0
+        probs = est.pure_born_probabilities(haar_unitaries(z[blk]), states[blk])
+        counts = est.born_counts(probs, m, g)
+        w[blk] = (d + 1) * est.collision_fractions(counts[:, 0], counts[:, 1]) - 1.0
     return w
 
 
 def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator) -> np.ndarray:
-    phi, psi = _haar_pairs(d, f, n, g)
-    u = _povm_samples_batch(phi, k, g)
-    v = _povm_samples_batch(psi, k, g)
-    x = np.abs(np.einsum("nd,nd->n", u.conj(), v)) ** 2
-    return est.multicopy_constants(d, k).estimate(x)
+    phi, psi = est.state_pairs(d, f, n, g)
+    u = sym.povm_samples(phi, k, g)
+    v = sym.povm_samples(psi, k, g)
+    return est.multicopy_constants(d, k).estimate(squared_overlaps(u, v))
 
 
 # --- the experiments ---
@@ -377,6 +352,9 @@ def _record_case(summary: dict, case: int, hits: int, trials: int) -> float:
 
 def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     defaults = load_defaults()
+    min_d = defaults["dipe_threshold_min_d"]
+    if config.d < min_d:  # case 2's states overlap by more than 1/2 with probability 2^(1-d)
+        raise ValueError(f"dipe-threshold needs d >= {min_d}, the smallest d it is calibrated at")
     k = config.k if config.k > 0 else defaults["dipe_threshold_c"] * math.ceil(
         math.sqrt(config.d)
     )
@@ -519,7 +497,7 @@ def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     worst_excess = -math.inf
     for t in range(config.trials):
         g = root.child(t).rng
-        z = g.standard_normal(n) + 1j * g.standard_normal(n)
+        z = complex_normals(n, g)
         z /= np.linalg.norm(z)
         out = sym.mp_channel_occupation(np.outer(z, z.conj()), d, k)
         lam = float(np.linalg.eigvalsh(out.matrix)[0])
@@ -580,9 +558,10 @@ def _run_moment_check(config: ExperimentConfig, root: RngStream) -> tuple[list, 
     g = root.rng
     mats = []
     for _ in range(3):
-        z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+        z = complex_normals((d, d), g)
         mats.append((z + z.conj().T) / 2)
-    psi = g.standard_normal((config.trials, d)) + 1j * g.standard_normal((config.trials, d))
+    psi = complex_normals((config.trials, d), g)
+    # normalised with np.linalg.norm, not haar_states' norm, to keep this check's seeded outputs
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     max_z = 0.0
     for k in (1, 2, 3):
@@ -649,19 +628,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def emit_result(result: ExperimentResult) -> str:
+    header = {
+        "output_version": result.output_version, "config": result.config.to_dict(),
+        "passed": result.passed, "summary": result.summary,
+    }
     if result.config.fmt == "json":
-        doc = {
-            "config": result.config.to_dict(),
-            "rows": result.rows,
-            "summary": result.summary,
-            "passed": result.passed,
-            "wall_clock": result.wall_clock,
-        }
+        doc = {**header, "rows": result.rows, "wall_clock": result.wall_clock}
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
     buf = io.StringIO()
-    buf.write(f"# config: {json.dumps(result.config.to_dict(), sort_keys=False)}\n")
-    buf.write(f"# passed: {json.dumps(result.passed)}\n")
-    buf.write(f"# summary: {json.dumps(result.summary, sort_keys=False)}\n")
+    for key, value in header.items():
+        buf.write(f"# {key}: {json.dumps(value, sort_keys=False)}\n")
     writer = csv.writer(buf)
     if result.rows:
         cols = ["trial", "seed_path", "w", "raw_stat"]
@@ -676,41 +652,31 @@ def emit_result(result: ExperimentResult) -> str:
 
 
 def parse_result(text: str) -> ExperimentResult:
-    """Inverse of emit_result up to wall-clock time."""
+    """Inverse of emit_result up to wall-clock time. A document without an
+    output_version is version 1."""
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        return ExperimentResult(
-            config=ExperimentConfig.from_dict(doc["config"]),
-            rows=doc["rows"],
-            summary=doc["summary"],
-            passed=doc["passed"],
-            wall_clock=doc.get("wall_clock", 0.0),
-        )
-    config = None
-    passed = False
-    summary: dict = {}
-    body_lines = []
-    for line in text.splitlines():
-        if line.startswith("# config: "):
-            config = ExperimentConfig.from_dict(json.loads(line[len("# config: "):]))
-        elif line.startswith("# passed: "):
-            passed = json.loads(line[len("# passed: "):])
-        elif line.startswith("# summary: "):
-            summary = json.loads(line[len("# summary: "):])
-        elif line.strip():
-            body_lines.append(line)
-    if config is None:
-        raise ValueError("missing config line")
-    rows: list[dict] = []
-    if body_lines and body_lines[0].split(",")[0] == "trial":
-        reader = csv.DictReader(body_lines)
-        for rec in reader:
-            rows.append(
-                {
-                    "trial": int(rec["trial"]),
-                    "seed_path": rec["seed_path"],
-                    "w": float(rec["w"]),
-                    "raw_stat": float(rec["raw_stat"]),
-                }
-            )
-    return ExperimentResult(config=config, rows=rows, summary=summary, passed=passed)
+    else:
+        # "# key: <json>" comment lines, then the CSV body
+        doc, body = {"summary": {}, "passed": False}, []
+        for line in text.splitlines():
+            key, sep, value = line[2:].partition(": ")
+            if line.startswith("# ") and sep:
+                doc[key] = json.loads(value)
+            elif line.strip():
+                body.append(line)
+        if "config" not in doc:
+            raise ValueError("missing config line")
+        estimate_rows = body and body[0].split(",")[0] == "trial"
+        doc["rows"] = [
+            {"trial": int(rec["trial"]), "seed_path": rec["seed_path"], "w": float(rec["w"]), "raw_stat": float(rec["raw_stat"])}
+            for rec in (csv.DictReader(body) if estimate_rows else [])
+        ]
+    return ExperimentResult(
+        config=ExperimentConfig.from_dict(doc["config"]),
+        rows=doc["rows"],
+        summary=doc["summary"],
+        passed=doc["passed"],
+        wall_clock=doc.get("wall_clock", 0.0),
+        output_version=doc.get("output_version", 1),
+    )

@@ -3,6 +3,11 @@
 Pure states are stored as raw unit vectors (no global-phase
 canonicalization; every observable used downstream is phase-invariant).
 All eigenvalue work goes through Hermitian-specialized routines.
+
+The samplers work on (n, d) arrays, one row per draw, and the scalar entry
+points are their n=1 calls. The order in which they draw from the
+Generator is part of every seeded output: reordering, batching or resizing
+a draw changes every gate statistic.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ __all__ = [
     "DensityMatrix",
     "is_hermitian",
     "sample_haar_state",
-    "sample_orthogonal_unit",
     "sample_haar_unitary",
     "overlap2",
     "trace_inner",
@@ -114,47 +118,67 @@ def _check_same_dim(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def sample_haar_state(d: int, rng: RngStream) -> PureState:
-    """Uniform (Haar) random unit vector in C^d.
-
-    Realized by normalizing d i.i.d. standard complex Gaussians.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    g = rng.rng
-    z = g.standard_normal(d) + 1j * g.standard_normal(d)
-    return PureState(z / np.linalg.norm(z))
-
-
-def sample_orthogonal_unit(phi: PureState, rng: RngStream) -> np.ndarray:
-    """Haar random unit vector orthogonal to phi, from d real then d imaginary normals."""
-    g = rng.rng
-    z = g.standard_normal(phi.dim) + 1j * g.standard_normal(phi.dim)
-    z -= phi.amplitudes * np.vdot(phi.amplitudes, z)
-    z /= np.linalg.norm(z)
+def complex_normals(shape, g: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussians of the given shape: all real parts, then
+    all imaginary parts."""
+    z = np.empty(shape, dtype=complex)
+    z.real = g.standard_normal(shape)
+    z.imag = g.standard_normal(shape)
     return z
 
 
-def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
-    """Haar random unitary via QR of a complex Ginibre matrix.
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """z with each row (last axis) scaled to unit norm, in place."""
+    z /= np.sqrt(np.vecdot(z, z).real)[..., None]
+    return z
 
-    Each column of Q is rephased so the corresponding R diagonal entry
-    is real positive, which makes the distribution exactly Haar.
-    """
+
+def haar_states(d: int, n: int, g: np.random.Generator) -> np.ndarray:
+    """n Haar random unit vectors in C^d, as the rows of an (n, d) array."""
+    return _unit_rows(complex_normals((n, d), g))
+
+
+def orthogonal_units(states: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    """Row i: a Haar random unit vector orthogonal to the unit vector states[i]."""
+    z = complex_normals(states.shape, g)
+    z -= states * np.vecdot(states, z)[:, None]
+    return _unit_rows(z)
+
+
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar random unitaries from complex Ginibre matrices z of shape (..., d, d).
+
+    QR factors each matrix on its own; each column of Q is rephased so the
+    matching diagonal entry of R is real positive, which makes Q exactly
+    Haar."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def sample_haar_state(d: int, rng: RngStream) -> PureState:
+    """Uniform (Haar) random unit vector in C^d: haar_states at n=1."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    g = rng.rng
-    z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    return PureState(haar_states(d, 1, rng.rng)[0])
+
+
+def sample_haar_unitary(d: int, rng: RngStream) -> np.ndarray:
+    """Haar random d x d unitary: haar_unitaries of one Ginibre matrix."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return haar_unitaries(complex_normals((d, d), rng.rng))
+
+
+def squared_overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|<u_i|v_i>|^2 for the rows of two (n, d) arrays."""
+    return np.abs(np.vecdot(u, v)) ** 2
 
 
 def overlap2(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2."""
+    """|<a|b>|^2: squared_overlaps at n=1."""
     _check_same_dim(a, b)
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return float(squared_overlaps(a.amplitudes[None], b.amplitudes[None])[0])
 
 
 def trace_inner(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -320,12 +320,11 @@ def singlecopy_smp_strategies(d: int, n_bases: int, m: int):
             raise ValueError(
                 "single-copy strategies need shared_randomness=True (the measurement bases)"
             )
-        rho = ctx.input.density() if hasattr(ctx.input, "density") else ctx.input
-        if rho.dim != d:
+        if ctx.input.dim != d:
             raise ValueError(
-                f"{ctx.role.value}'s input has dimension {rho.dim}, strategies built for d={d}"
+                f"{ctx.role.value}'s input has dimension {ctx.input.dim}, strategies built for d={d}"
             )
-        outcomes = singlecopy_outcomes(rho, n_bases, m, ctx.shared, ctx.rng)
+        outcomes = singlecopy_outcomes(ctx.input, n_bases, m, ctx.shared, ctx.rng)
         ctx.send(Role.REFEREE, "outcomes", outcomes.ravel())
 
     def referee(ctx: PartyContext):

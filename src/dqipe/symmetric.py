@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, sample_orthogonal_unit
+from .linalg import PureState, DensityMatrix, orthogonal_units
 from .rng import RngStream
 
 __all__ = [
@@ -173,27 +173,34 @@ def sym_projector(d: int, k: int) -> np.ndarray:
     return _sym_projector_cached(d, k)
 
 
-def standard_povm_sample(phi: PureState, k: int, rng: RngStream) -> PureState:
-    """Sample an outcome of the continuous symmetric-subspace POVM on phi^{⊗k}.
+def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
+    """Row i: an outcome of the continuous symmetric-subspace POVM on
+    states[i]^{⊗k}, for unit rows of an (n, d) array.
 
     The outcome u has density C(d+k-1,k)|<phi|u>|^{2k} du. No rejection:
     the squared overlap with phi is a Beta(k+1, d-1) draw, the relative
     phase is uniform, and the orthogonal component is Haar in the
-    orthocomplement of phi. k=0 reduces to a Haar-uniform draw.
+    orthocomplement of phi. k=0 reduces to a Haar-uniform draw. At d=1
+    the outcome is phi up to a uniform phase.
     """
-    d = phi.dim
     if k < 0:
         raise ValueError("k must be >= 0")
+    n, d = states.shape
     if d == 1:
+        return states * np.exp(1j * g.uniform(0.0, 2.0 * math.pi, size=n))[:, None]
+    a2 = g.beta(k + 1, d - 1, size=n)
+    theta = g.uniform(0.0, 2.0 * math.pi, size=n)
+    u = orthogonal_units(states, g)
+    u *= np.sqrt(1.0 - a2)[:, None]
+    u += (np.sqrt(a2) * np.exp(1j * theta))[:, None] * states
+    return u
+
+
+def standard_povm_sample(phi: PureState, k: int, rng: RngStream) -> PureState:
+    """One outcome of the POVM on phi^{⊗k}: povm_samples at n=1."""
+    if phi.dim == 1:
         warnings.warn("standard_povm_sample degenerate at d=1: outcome is phi up to phase")
-        theta = rng.rng.uniform(0.0, 2.0 * math.pi)
-        return PureState(phi.amplitudes * np.exp(1j * theta))
-    g = rng.rng
-    a2 = g.beta(k + 1, d - 1)
-    theta = g.uniform(0.0, 2.0 * math.pi)
-    z = sample_orthogonal_unit(phi, rng)
-    u = math.sqrt(a2) * np.exp(1j * theta) * phi.amplitudes + math.sqrt(1.0 - a2) * z
-    return PureState(u)
+    return PureState(povm_samples(phi.amplitudes[None], k, rng.rng)[0])
 
 
 def beta_coefficient_exact(d: int, k: int, t: int) -> Fraction:

@@ -134,6 +134,37 @@ def test_multicopy_exact_variance_cancellation_case():
     assert est.multicopy_variance_exact(8, 16, 0.5) == 0.1059609375
 
 
+def _copies_needed(d: int, eps: float) -> int:
+    """k*(d, eps): the least k whose exact variance, at the worst f of an
+    11-point grid, is at most eps^2 / 3 (Chebyshev at failure probability
+    1/3). Bisection: the variance falls as k grows."""
+    grid = [i / 10 for i in range(11)]
+
+    def enough(k):
+        return max(est.multicopy_variance_exact(d, k, f) for f in grid) <= eps**2 / 3
+
+    hi = 1
+    while not enough(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+def test_multicopy_copies_follow_the_papers_rate():
+    # k = Theta(max(1/eps^2, sqrt(d)/eps)): both regimes are covered, from
+    # 1/eps^2 dominating (small d) to sqrt(d)/eps dominating (large d).
+    # The ratio reads 2.47..4.16 over this grid.
+    ratios = [
+        _copies_needed(2**j, 2.0**-e) / max(4.0**e, 2 ** (j / 2) * 2**e)
+        for j in range(2, 21, 2)
+        for e in range(1, 8)
+    ]
+    assert 2.0 <= min(ratios) and max(ratios) <= 5.0
+
+
 def test_born_sample_distribution():
     d = 4
     r = RngStream(33)
@@ -220,13 +251,24 @@ def test_generalized_swap_variance_zero_at_pure_match():
 
 
 def test_dipe_threshold_decider():
-    d = 64
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1
-    e1 = np.zeros(d, dtype=complex)
-    e1[1] = 1
-    assert est.dipe_decide_threshold(PureState(e0), PureState(e0), d) == 1
-    assert est.dipe_decide_threshold(PureState(e0), PureState(e1), d) == 2
+    # case 1 exactly when the multi-copy estimate slope * x - offset exceeds
+    # 1/2, at the squared overlap x of the two outcomes
+    d, k = 64, 8
+    c = est.multicopy_constants(d, k)
+    boundary = (0.5 + c.offset) / c.slope
+    e0 = np.eye(d, dtype=complex)[0]
+    e1 = np.eye(d, dtype=complex)[1]
+
+    def at_overlap(x):
+        return PureState(math.sqrt(x) * e0 + math.sqrt(1 - x) * e1)
+
+    assert est.dipe_decide_threshold(PureState(e0), PureState(e0), k) == 1
+    assert est.dipe_decide_threshold(PureState(e0), PureState(e1), k) == 2
+    assert est.dipe_decide_threshold(PureState(e0), at_overlap(boundary * 1.01), k) == 1
+    assert est.dipe_decide_threshold(PureState(e0), at_overlap(boundary * 0.99), k) == 2
+    # the old 10/d rule called every pair case 2 at d <= 10
+    e0_8 = PureState(np.eye(8, dtype=complex)[0])
+    assert est.dipe_decide_threshold(e0_8, e0_8, 24) == 1
 
 
 def test_pi0_decider_extremes():

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqipe import estimators as est
 from dqipe import experiments as ex
-from dqipe import oracles, wire
+from dqipe import linalg, oracles, wire
 from dqipe import rng as rng_module
 from dqipe import symmetric as sym
 from dqipe.cli import main as cli_main
-from dqipe.linalg import DensityMatrix, dmax, overlap2
+from dqipe.linalg import DensityMatrix, PureState, dmax, overlap2
 from dqipe.rng import RngStream
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -102,9 +104,9 @@ def _load_calibrate_script():
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_calibration_replays_dipe_threshold_draws(seed):
-    # at c=5 (k=40) case 1 succeeds about half the time, so other draws
+    # at c=1 (k=8) case 1 succeeds about half the time, so other draws
     # would most likely give another hit count
-    d, c, trials = 64, 5, 60
+    d, c, trials = 64, 1, 60
     hits = _load_calibrate_script().hit_counts(d, c, trials, seed)
     k = c * math.ceil(math.sqrt(d))
     cfg = ex.ExperimentConfig("dipe-threshold", d=d, k=k, trials=trials, seed=seed)
@@ -167,22 +169,18 @@ def test_stream_prefetch_changes_no_output(experiment, overrides, seed, monkeypa
 
 
 def _singlecopy_w_loop(d, m, f, n, g):
-    """Per-trial form of the single-copy kernel: the reference its draw
-    order and arithmetic must match bit for bit."""
-    phi, psi = ex._haar_pairs(d, f, n, g)
-    z = g.standard_normal((n, d, d)) + 1j * g.standard_normal((n, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("nii->ni", r)
-    u = q * (diag / np.abs(diag))[:, None, :]
-    p = np.abs(np.einsum("nbi,ni->nb", u, phi)) ** 2
-    qd = np.abs(np.einsum("nbi,ni->nb", u, psi)) ** 2
-    p /= p.sum(axis=1, keepdims=True)
-    qd /= qd.sum(axis=1, keepdims=True)
+    """Per-trial form of the single-copy kernel through the protocol's own
+    steps: the n=1 Born draw of the party step and the referee step with its
+    collision statistic. The kernel must match it bit for bit."""
+    phi, psi = est.state_pairs(d, f, n, g)
+    z = linalg.complex_normals((n, d, d), g)
+    stream = types.SimpleNamespace(rng=g)  # the party's stream: its Generator
     w = np.empty(n)
     for i in range(n):
-        cx = g.multinomial(m, p[i])
-        cy = g.multinomial(m, qd[i])
-        w[i] = (d + 1) * float(cx @ cy) / m**2 - 1.0
+        u = linalg.haar_unitaries(z[i])
+        x = est.born_sample(PureState(phi[i]), u, m, stream)
+        y = est.born_sample(PureState(psi[i]), u, m, stream)
+        w[i] = est.singlecopy_referee(x[None], y[None], d)[0]
     return w
 
 
@@ -201,6 +199,75 @@ def test_singlecopy_batch_matches_per_trial_loop(n, d, m):
     assert np.array_equal(w.view(np.int64), want.view(np.int64))
     # the generator is left where the loop leaves it
     assert g_batch.integers(2**62) == g_loop.integers(2**62)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_singlecopy_batch_and_loop_draw_from_the_same_probabilities(d, monkeypatch):
+    # the multinomial hides last-bit differences in its probabilities, so
+    # w alone cannot show that the party's Born probabilities are the kernel's
+    seen = {"batch": [], "loop": []}
+    born_counts = est.born_counts
+
+    def spy(probs, m, g):
+        seen[side].append(probs.reshape(-1, d).copy())
+        return born_counts(probs, m, g)
+
+    monkeypatch.setattr(est, "born_counts", spy)
+    side = "batch"
+    ex._singlecopy_w_batch(d, 4, 0.3, 50, np.random.default_rng(d))
+    side = "loop"
+    _singlecopy_w_loop(d, 4, 0.3, 50, np.random.default_rng(d))
+    batch, loop = np.concatenate(seen["batch"]), np.concatenate(seen["loop"])
+    assert batch.shape == loop.shape == (100, d)
+    assert np.array_equal(batch.view(np.int64), loop.view(np.int64))
+
+
+class _Recorder:
+    """Wraps a Generator and keeps every draw: (method name, array)."""
+
+    def __init__(self, g):
+        self.g, self.draws = g, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.g, name)(*args, **kwargs)
+            self.draws.append((name, out))
+            return out
+
+        return draw
+
+
+class _RowReplay:
+    """Stands in for a Generator: each draw returns row i of the next
+    recorded draw, which must have been made by the same method."""
+
+    def __init__(self, draws, i):
+        self._rows = iter((name, out[i : i + 1]) for name, out in draws)
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            recorded, row = next(self._rows)
+            assert recorded == name
+            return row
+
+        return draw
+
+
+@pytest.mark.parametrize("d,k,f", [(2, 1, 0.0), (8, 16, 0.5), (33, 5, 1.0)])
+def test_multicopy_batch_rows_equal_the_protocol_steps(d, k, f):
+    # each row of the kernel, replayed through the n=1 state pair, POVM and
+    # referee calls that the direct API and the strategies make
+    n = 40
+    rec = _Recorder(np.random.default_rng([d, k]))
+    w = ex._multicopy_w_batch(d, k, f, n, rec)
+    steps = np.empty(n)
+    for i in range(n):
+        stream = types.SimpleNamespace(rng=_RowReplay(rec.draws, i))
+        phi, psi = est.make_state_pair(d, f, stream)
+        u = sym.standard_povm_sample(phi, k, stream)
+        v = sym.standard_povm_sample(psi, k, stream)
+        steps[i] = est.multicopy_referee(u, v, k)[0]
+    assert np.array_equal(w.view(np.int64), steps.view(np.int64))
 
 
 def test_variance_check_singlecopy_summary_pinned():
@@ -278,11 +345,43 @@ def test_documents_with_dropped_setting_key_still_parse(fmt):
         doc["config"] = {**doc["config"], "setting": "smp"}
         old = json.dumps(doc, indent=2)
     else:
-        head, rest = text.split("\n", 1)
-        config = json.loads(head[len("# config: "):])
-        old = f"# config: {json.dumps({**config, 'setting': 'smp'})}\n{rest}"
+        lines = text.split("\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith("# config: "))
+        config = json.loads(lines[i][len("# config: "):])
+        lines[i] = f"# config: {json.dumps({**config, 'setting': 'smp'})}"
+        old = "\n".join(lines)
     assert '"setting": "smp"' in old
     assert ex.parse_result(old).content_equal(r)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_documents_carry_the_output_version(fmt):
+    r = _result(fmt)
+    text = ex.emit_result(r)
+    if fmt == "json":
+        assert json.loads(text)["output_version"] == ex.OUTPUT_VERSION == 2
+    else:
+        assert text.startswith("# output_version: 2\n")
+    back = ex.parse_result(text)
+    assert back.output_version == 2 and back.content_equal(r)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_documents_without_output_version_are_version_1(fmt):
+    r = _result(fmt)
+    text = ex.emit_result(r)
+    if fmt == "json":
+        doc = json.loads(text)
+        del doc["output_version"]
+        old = json.dumps(doc, indent=2)
+    else:
+        old = text.split("\n", 1)[1]
+        assert old.startswith("# config: ")
+    back = ex.parse_result(old)
+    assert back.output_version == 1
+    assert (back.config, back.rows, back.summary, back.passed) == (r.config, r.rows, r.summary, r.passed)
+    # the same content under another version is another document
+    assert not back.content_equal(r)
 
 
 def test_same_config_same_output():
@@ -334,6 +433,31 @@ def test_cli_fail_exit_code(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("dipe-threshold: FAIL")
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_dipe_threshold_passes_at_its_defaults():
+    # d=8, the smallest calibrated dimension, at k = c * ceil(sqrt(8)) = 24
+    result = ex.run_experiment(ex.ExperimentConfig("dipe-threshold", trials=300))
+    assert result.summary["k"] == 24
+    assert result.passed
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_dipe_threshold_fails_at_sqrt_d_copies(d):
+    # k = ceil(sqrt(d)) (c=1): the estimate exceeds 1/2 in case 1 about half
+    # the time, so the gate must FAIL
+    k = math.ceil(math.sqrt(d))
+    result = ex.run_experiment(ex.ExperimentConfig("dipe-threshold", d=d, k=k, trials=200))
+    assert not result.passed
+    assert result.summary["success_rate_case1"] < 0.6
+
+
+def test_dipe_threshold_below_its_smallest_calibrated_d_exits_2(capsys):
+    min_d = ex.load_defaults()["dipe_threshold_min_d"]
+    assert cli_main(["dipe-threshold", "--d", str(min_d - 1), "--k", "64", "--trials", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"dqipe: dipe-threshold needs d >= {min_d}, the smallest d it is calibrated at\n"
+    )
 
 
 @pytest.mark.parametrize("experiment", ["tracedist-check", "spectrum-check", "mp-bound-check"])
@@ -568,13 +692,13 @@ def test_cli_env_seed(tmp_path, monkeypatch):
 # changes every downstream statistic, so it must re-pin these on purpose.
 _PINNED_RUNS = [
     (["estimate-multicopy", "--trials", "30"],
-     "38991a8e8cb04e001f2fdf855398212ee33e0aef2d60479a62cfc0eeaf228fa9"),
+     "ab0b1719dec8c9874ee2db14eeb346d202a9228db60bcce0c99e169de7aef026"),
     (["estimate-singlecopy", "--d", "8", "--m", "32", "--n-bases", "3", "--trials", "30"],
-     "60b547063df99f2f677ebff5bb9901047efee913dd3fc553f816fc330d2a9ca0"),
+     "00cf6c41cb29e39b410d4d5abcbda7cbf65e9d648c42be55c5a8dc8c49778b2e"),
     (["dipe-pi0", "--d", "8", "--trials", "30"],
-     "1dedb5821e75262de2c8fe40e505309698cb84775e26cbaf3dddb35cd27753e6"),
+     "b77d6f2fdb676d343d2cf61836d3a515cd5a157fcece7d9c9f4d9c78e2163c1e"),
 ]
-_PINNED_FRAMES = "358759202598973f08ac9ad23367f0c4af8ae1b3fa4d1c466a2030535363bf7a"
+_PINNED_FRAMES = "e8236a2c0f6fb31476766b2ed195ab9e7af8772c20ea090769f7a0da6b8cd3c3"
 
 
 def test_seeded_frames_and_results_pinned(monkeypatch, capsys):

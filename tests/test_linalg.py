@@ -11,7 +11,11 @@ from dqipe.linalg import (
     DensityMatrix,
     PureState,
     dmax,
+    haar_states,
+    haar_unitaries,
+    complex_normals,
     is_hermitian,
+    orthogonal_units,
     overlap2,
     sample_haar_state,
     sample_haar_unitary,
@@ -37,6 +41,41 @@ def test_haar_state_unit_norm(d, seed):
 def test_haar_unitary_is_unitary(d, seed):
     u = sample_haar_unitary(d, RngStream(seed))
     assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
+
+
+@given(d=st.integers(min_value=2, max_value=12), n=st.integers(min_value=1, max_value=5), seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_orthocomplement_draws_are_unit_and_orthogonal(d, n, seed):
+    g = RngStream(seed).rng
+    states = haar_states(d, n, g)
+    z = orthogonal_units(states, g)
+    assert z.shape == (n, d)
+    assert np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.einsum("nd,nd->n", states.conj(), z))) <= 1e-12
+
+
+def test_orthocomplement_draws_are_haar():
+    # for phi = e_0, the squared modulus of a fixed coordinate of a Haar unit
+    # vector in span(e_1..e_{d-1}) has mean 1/(d-1); e_0's weight is zero
+    d, n = 5, 20000
+    z = orthogonal_units(np.tile(np.eye(d, dtype=complex)[0], (n, 1)), RngStream(8).rng)
+    weights = np.abs(z) ** 2
+    assert np.max(weights[:, 0]) <= 1e-24
+    se = weights[:, 1].std(ddof=1) / math.sqrt(n)
+    assert weights[:, 1].mean() == pytest.approx(1 / (d - 1), abs=4 * se)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_scalar_samplers_are_the_batch_ones_at_n1(d):
+    state = sample_haar_state(d, RngStream(3, (1,)))
+    assert np.array_equal(state.amplitudes, haar_states(d, 1, RngStream(3, (1,)).rng)[0])
+    u = sample_haar_unitary(d, RngStream(3, (2,)))
+    z = complex_normals((1, d, d), RngStream(3, (2,)).rng)
+    assert np.array_equal(u, haar_unitaries(z)[0])
+    # QR factors each matrix of a stack on its own: a matrix gets the same
+    # bits alone and inside a stack
+    stack = np.concatenate([complex_normals((2, d, d), RngStream(4).rng), z])
+    assert np.array_equal(haar_unitaries(stack)[2], u)
 
 
 def test_haar_unitary_phase_convention_nondegenerate():
