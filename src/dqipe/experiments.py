@@ -31,6 +31,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     complex_normals,
+    haar_states,
     haar_unitaries,
     sample_haar_state,
     squared_overlaps,
@@ -456,8 +457,9 @@ def _mp_anchor_dev(d: int, k: int, stream: RngStream) -> float:
 
     Measuring k copies of u and preparing k copies of the outcome gives
     the post-measurement state rho_u, so the term-list contraction and the
-    rotated basis, built independently, must agree. Unlike the spectrum,
-    this sees the orientation of the contraction (X against X^T). Both
+    polynomial in the number operator N_u, built independently, must
+    agree. Unlike the spectrum, this sees the orientation of the
+    contraction (X against X^T). Both
     sides are compared on (C^d)^{⊗k}, through the public lifts, so the
     lifts are checked too; over budget it raises DenseBudgetError.
     """
@@ -497,8 +499,7 @@ def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     worst_excess = -math.inf
     for t in range(config.trials):
         g = root.child(t).rng
-        z = complex_normals(n, g)
-        z /= np.linalg.norm(z)
+        z = haar_states(n, 1, g)[0]
         out = sym.mp_channel_occupation(np.outer(z, z.conj()), d, k)
         lam = float(np.linalg.eigvalsh(out.matrix)[0])
         worst_eig = min(worst_eig, lam - floor / n)
@@ -560,9 +561,7 @@ def _run_moment_check(config: ExperimentConfig, root: RngStream) -> tuple[list, 
     for _ in range(3):
         z = complex_normals((d, d), g)
         mats.append((z + z.conj().T) / 2)
-    psi = complex_normals((config.trials, d), g)
-    # normalised with np.linalg.norm, not haar_states' norm, to keep this check's seeded outputs
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    psi = haar_states(d, config.trials, g)
     max_z = 0.0
     for k in (1, 2, 3):
         prods = np.ones(config.trials)

@@ -6,10 +6,11 @@ cloning channels.
 
 The post-measurement state and the measure-and-prepare channel are
 computed on Sym^k, in its occupation basis B of dimension
-D = C(d+k-1, k): rho_u_occupation rotates B, and mp_channel_occupation
-pairs occupation vectors a + b = a' + b' with weights from exact
-multinomials, never building an operator on (C^d)^{⊗2k}. rho_u_closed_form
-and mp_channel are their lifts B (...) B^T to (C^d)^{⊗k}; the cloning
+D = C(d+k-1, k). rho_u_occupation is a polynomial in N_u, the D x D
+operator that counts the factors along u, and mp_channel_occupation pairs
+occupation vectors a + b = a' + b' with weights from exact multinomials,
+so neither builds an operator on (C^d)^{⊗k}. pi_u_t, rho_u_closed_form and
+mp_channel lift D x D operators to (C^d)^{⊗k} by B (...) B^T; the cloning
 channels stay dense and serve as a check.
 
 Every build checks the bytes it will hold, computed from shapes, with
@@ -63,8 +64,8 @@ __all__ = [
 
 # Bytes one build may hold at once.
 BYTE_BUDGET = 2**28
-# Element updates a dense permutation-sum oracle may make; the 2.6e9 of
-# spectrum-check --d 2 --k 4 take about 18 s on a 2-vCPU VM.
+# Element updates a dense build may make; the 2.6e9 of the permutation-sum
+# oracle at spectrum-check --d 2 --k 4 take about 18 s on a 2-vCPU VM.
 WORK_BUDGET = 10**10
 
 
@@ -248,74 +249,74 @@ def block_spectrum(d: int, k: int) -> SymBlockSpectrum:
     return SymBlockSpectrum(d, k, betas, dims)
 
 
-def _householder_to(u: np.ndarray) -> np.ndarray:
-    """Unitary (reflection, up to phase) mapping e_0 to u up to a phase.
+def _number_polynomial(u: np.ndarray, k: int, roots: list[int], scales: list[int]) -> np.ndarray:
+    """prod_i (N_u - roots[i]) / scales[i] on Sym^k, in the occupation basis.
 
-    Sufficient wherever only conjugation by the rotation matters.
+    N_u = b^H b counts the factors along u: b = sum_i conj(u_i) a_i is the
+    annihilator along u, with a_i|l> = sqrt(l_i)|l - e_i> from Sym^k to
+    Sym^{k-1}. Block t of the post-measurement state is N_u's eigenspace
+    for eigenvalue t. Its callers check the budget (_polynomial_bytes).
     """
     d = u.shape[0]
-    overlap = u[0]
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-14 else 1.0
-    target = u / phase  # now <e0|target> is real nonnegative
-    w = target - np.eye(d, dtype=complex)[:, 0]
-    nw2 = float(np.vdot(w, w).real)
-    if nw2 < 1e-28:
-        return np.eye(d, dtype=complex)
-    return np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / nw2
+    lower = {t: r for r, t in enumerate(type_vectors(d, k - 1))} if k else {}
+    types = type_vectors(d, k)
+    b = np.zeros((len(lower), len(types)), dtype=complex)
+    for j, l in enumerate(types):
+        for i, li in enumerate(l):
+            if li:
+                b[lower[l[:i] + (li - 1,) + l[i + 1 :]], j] = math.sqrt(li) * u[i].conjugate()
+    num = b.conj().T @ b
+    out = np.eye(len(types), dtype=complex)
+    for root, scale in zip(roots, scales):
+        factor = num / scale
+        factor.flat[:: len(types) + 1] -= root / scale
+        out = out @ factor
+    return out
 
 
-def _rotated_basis(u: PureState, k: int) -> np.ndarray:
-    """sym_basis(d, k) rotated by R^{⊗k}, R mapping e_0 to u up to a phase,
-    one tensor axis at a time: column j has types[j][0] factors along u.
-    Its callers check the budget for it."""
-    d = u.dim
-    rot = _householder_to(u.amplitudes)
-    rb = sym_basis(d, k).vectors.astype(complex).reshape((d,) * k + (-1,))
-    for axis in range(k):
-        rb = np.moveaxis(np.tensordot(rot, rb, axes=(1, axis)), 0, axis)
-    return rb.reshape(d**k, -1)
+def _polynomial_bytes(d: int, dim: int) -> int:
+    """Bytes _number_polynomial holds: b, N_u, the product, a factor and
+    their product, complex D x D at most, beside the occupation vectors."""
+    return 80 * dim * dim + _overhead_bytes(d, 2 * dim)
 
 
 def pi_u_t(u: PureState, k: int, t: int) -> np.ndarray:
     """Projector onto the block of the symmetric subspace with exactly t
-    factors along u.
-
-    Built from the rotated occupation-number basis vectors whose first
-    entry is t.
+    factors along u: the Lagrange product prod_{s != t} (N_u - s) / (t - s),
+    1 on N_u's eigenvalue t and 0 on the others, lifted by B (...) B^T.
     """
     d = u.dim
     if not 0 <= t <= k:
         raise ValueError(f"t={t} out of range [0, {k}]")
     n, dim = d**k, sym_dimension(d, k)
-    # the basis and its rotation as rho_u_occupation counts them, then the
-    # complex n x n product
-    check_budget("pi_u_t", 64 * n * dim + 16 * n * n)
-    cols = [j for j, tv in enumerate(sym_basis(d, k).types) if tv[0] == t]
-    rb = _rotated_basis(u, k)[:, cols]
-    return rb @ rb.conj().T
+    # the polynomial, then its lift beside the real basis
+    check_budget(
+        "pi_u_t", _polynomial_bytes(d, dim) + 8 * n * dim + lift_bytes(n, dim), (k + 1) * dim**3
+    )
+    others = [s for s in range(k + 1) if s != t]
+    p = _number_polynomial(u.amplitudes, k, others, [t - s for s in others])
+    b = sym_basis(d, k).vectors
+    return b @ p @ b.T
 
 
 def rho_u_occupation(u: PureState, k: int) -> DensityMatrix:
     """Post-measurement state sum_t beta_t Pi_u^t on Sym^k, as a D x D
     matrix in the basis B = sym_basis(d, k).
 
-    With C = B^T R^{⊗k} B, the rotation restricted to Sym^k, it is
-    C diag(beta_{l_0}) C^H, where l_0 is the occupation of e_0.
+    beta_t = prod_{j=1..k} (t + j) / (d + k + j - 1), so the state is that
+    polynomial in N_u. It is hermitised and divided by its trace, which
+    keeps it exactly [[1.0]] at d=1.
     """
-    d = u.dim
-    n, dim = d**k, sym_dimension(d, k)
-    # the real basis, up to three complex copies of it while an axis turns
-    # and the complex product with it; then C, C diag(beta) and the output
+    d, dim = u.dim, sym_dimension(u.dim, k)
+    # the polynomial's build, then its Hermitian part beside the output
     # with its DensityMatrix check
     check_budget(
-        "rho_u_occupation",
-        64 * n * dim + 32 * dim * dim + _density_bytes(dim) + _overhead_bytes(d, dim),
+        "rho_u_occupation", _polynomial_bytes(d, dim) + _density_bytes(dim), (k + 1) * dim**3
     )
-    betas = block_spectrum(d, k).betas
-    basis = sym_basis(d, k)
-    c = basis.vectors.T @ _rotated_basis(u, k)
-    weights = np.array([betas[tv[0]] for tv in basis.types])
-    return DensityMatrix((c * weights) @ c.conj().T)
+    js = range(1, k + 1)
+    rho = _number_polynomial(u.amplitudes, k, [-j for j in js], [d + k + j - 1 for j in js])
+    rho = (rho + rho.conj().T) / 2
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def rho_u_closed_form(u: PureState, k: int) -> DensityMatrix:
@@ -484,12 +485,7 @@ def chiribella_combination(rho: DensityMatrix, d: int, k: int) -> DensityMatrix:
     for s in range(k + 1):
         weight = math.comb(k, s) * math.comb(d + k - 1, k - s) / den
         reduced = partial_trace_last(rho.matrix, d, s, k - s) if s < k else rho.matrix
-        if s == 0:
-            acc += weight * (sym_projector(d, k) / sym_dimension(d, k)) * float(
-                np.trace(np.atleast_2d(reduced)).real
-            )
-        else:
-            acc += weight * clone_channel(reduced, d, s, k).matrix
+        acc += weight * clone_channel(reduced, d, s, k).matrix
     acc = (acc + acc.conj().T) / 2
     return DensityMatrix(acc)
 

@@ -627,8 +627,14 @@ def test_tracedist_check_dense_value_unchanged():
     assert result.summary["dense"] == pytest.approx(0.387362637362638, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 3), (3, 4), (4, 3), (2, 5), (2, 14), (10, 3), (25, 3)])
-def test_tracedist_check_reports_its_regime_and_passes(d, k):
+@pytest.mark.parametrize(
+    "d,k",
+    # d^k = 2^18, 7^5 and 4^8 are out of reach of the embedded basis; D is 19, 462 and 165
+    [(2, 1), (3, 3), (3, 4), (4, 3), (2, 5), (2, 14), (10, 3), (25, 3), (2, 18), (7, 5), (4, 8)],
+)
+def test_tracedist_check_reports_its_regime_and_passes(d, k, monkeypatch):
+    # the dense value is computed on Sym^k alone
+    monkeypatch.setattr(sym, "sym_basis", _refuse_dense_work)
     result = ex.run_experiment(ex.ExperimentConfig("tracedist-check", d=d, k=k))
     in_regime = sym.beta_coefficient_exact(d, k, 1) >= Fraction(1, sym.sym_dimension(d, k))
     assert result.summary["regime"] == ("beta1>=1/D" if in_regime else "general")
@@ -638,8 +644,9 @@ def test_tracedist_check_reports_its_regime_and_passes(d, k):
 
 
 def test_tracedist_check_outside_regime_over_budget_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(sym, "sym_basis", _refuse_dense_work)
-    assert cli_main(["tracedist-check", "--d", "2", "--k", "24"]) == 2
+    # D = C(23, 20) = 1771: its D x D arrays are over the byte budget
+    monkeypatch.setattr(sym, "type_vectors", _refuse_dense_work)
+    assert cli_main(["tracedist-check", "--d", "4", "--k", "20"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

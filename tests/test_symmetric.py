@@ -134,11 +134,24 @@ def test_block_coefficients_d3_k2():
     assert sym.beta_coefficient_exact(3, 2, 2) == Fraction(2, 5)
 
 
+def _householder_to(u):
+    """A unitary reflection mapping e_0 to u up to a phase."""
+    d = u.shape[0]
+    target = u * (abs(u[0]) / u[0] if abs(u[0]) > 1e-14 else 1.0)
+    w = target - np.eye(d)[0]
+    nw2 = np.vdot(w, w).real
+    if nw2 < 1e-28:
+        return np.eye(d, dtype=complex)
+    return np.eye(d) - 2.0 * np.outer(w, w.conj()) / nw2
+
+
 def _rho_u_kron_reference(u, k):
     """sum_t beta_t Pi_u^t with each block rotated by the Kronecker power
-    of the Householder map e_0 -> u."""
+    of a Householder map e_0 -> u: a rotation of the occupation basis, not
+    the number operator that the library uses."""
     d = u.dim
-    rot = sym._householder_to(u.amplitudes)
+    rot = _householder_to(u.amplitudes)
+    assert abs(np.vdot(u.amplitudes, rot[:, 0])) == pytest.approx(1.0, abs=1e-12)
     rot_k = np.eye(1)
     for _ in range(k):
         rot_k = np.kron(rot_k, rot)
@@ -186,6 +199,21 @@ def test_rho_u_is_valid_state():
     u = sample_haar_state(3, RngStream(12))
     rho = sym.rho_u_closed_form(u, 2)
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+
+def _refuse_the_embedded_basis(*args):
+    raise AssertionError("built the d^k x D embedded basis")
+
+
+@pytest.mark.parametrize("d,k", [(2, 18), (2, 40), (3, 11), (7, 5), (4, 8)])
+def test_rho_u_occupation_spectrum_without_the_embedded_basis(d, k, monkeypatch):
+    # N_u's integer spectrum against the closed-form block coefficients;
+    # d^k reaches 2^40, so nothing of that size may be built
+    monkeypatch.setattr(sym, "sym_basis", _refuse_the_embedded_basis)
+    rho = sym.rho_u_occupation(sample_haar_state(d, RngStream(d + k)), k).matrix
+    spec = sym.block_spectrum(d, k)
+    expected = np.sort([b for b, dim in zip(spec.betas, spec.dims) for _ in range(dim)])
+    assert np.max(np.abs(np.linalg.eigvalsh(rho) - expected)) <= 1e-14
 
 
 def test_trace_distance_block_k0_is_zero():
@@ -305,8 +333,14 @@ def test_dense_budget_guard(monkeypatch):
         sym.mp_channel(None, 16, 4)
     with pytest.raises(sym.DenseBudgetError, match="^measure-and-prepare pairs: needs"):
         sym.mp_channel_occupation(None, 16, 4)
+    # D = C(20, 5) = 15504: its D x D arrays alone need GiBs
     with pytest.raises(sym.DenseBudgetError, match="^rho_u_occupation: needs"):
-        sym.rho_u_occupation(sample_haar_state(2, RngStream(0)), 24)
+        sym.rho_u_occupation(sample_haar_state(16, RngStream(0)), 5)
+    with pytest.raises(sym.DenseBudgetError, match="^pi_u_t: needs"):
+        sym.pi_u_t(sample_haar_state(16, RngStream(0)), 5, 1)
+    # D = 317 is few bytes, but (k + 1) D^3 = 1.01e10 element updates
+    with pytest.raises(sym.DenseBudgetError, match="^rho_u_occupation: 1.01e\\+10 element updates"):
+        sym.rho_u_occupation(sample_haar_state(2, RngStream(0)), 316)
     # closed-form paths have no budget
     assert sym.trace_distance_rho_u_block(1000, 50) > 0
 

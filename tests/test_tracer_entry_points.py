@@ -48,6 +48,19 @@ def test_every_traced_name_resolves_on_its_dqipe_module():
                 "linalg.haar_unitary_us",
             ),
         ),
+        # dense-sym: tracedist-check builds no embedded basis, so only the
+        # anchor's lifts fill the projector and lift rows
+        (
+            "mp-bound-check",
+            {"d": 4, "k": 3},
+            (
+                "symmetric.mp_channel_ms",
+                "symmetric.rho_u_closed_form_ms",
+                "symmetric.projector_build_s",
+                "linalg.density_check_us",
+            ),
+        ),
+        ("tracedist-check", {"d": 10, "k": 3}, ("linalg.eig_ms", "linalg.density_check_us")),
     ],
 )
 def test_protocol_runs_fill_their_traced_rows(experiment, overrides, rows):
