@@ -7,16 +7,22 @@ with complex amplitudes encoded as [re, im] pairs. Floats round-trip bit
 for bit through the encoder (json emits repr of the double), so an
 in-process transport is equivalent to running the computation directly.
 
-`encode_frame` output is canonical: decoding and re-encoding it gives the
-same line. So each in-process frame costs one encode and one validating
-decode (by the protocol harness); the in-process transport hands the line
-back unchanged, and a TCP collector's echo equals it byte for byte.
+Every number on the wire is finite: `encode_frame` refuses NaN and
+infinities, and `decode_frame` refuses the literals NaN, Infinity and
+-Infinity and any float literal that overflows (such as 1e400).
+
+Each frame costs one encode and one validating decode (by the protocol
+harness). Both transports hand the line back unchanged: the in-process one
+without leaving the process, and a TCP collector by echoing the line it
+received once it has decoded it, so an accepted line, canonical or not,
+comes back byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -102,9 +108,25 @@ def encode_frame(frame: dict) -> str:
         raise WireError(f"unencodable frame: {exc}") from exc
 
 
+def _non_finite_constant(name: str):
+    raise WireError(f"non-finite number {name} in frame")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise WireError(f"float literal {text[:32]} overflows")
+    return value
+
+
+# json.loads with hooks that refuse non-finite numbers: NaN, Infinity and
+# -Infinity reach parse_constant, overflowing literals parse_float
+_DECODER = json.JSONDecoder(parse_constant=_non_finite_constant, parse_float=_finite_float)
+
+
 def decode_frame(line: str) -> dict:
     try:
-        frame = json.loads(line)
+        frame = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise WireError(f"bad frame: {exc}") from exc
     for key in ("v", "run", "round", "from", "to", "type", "payload"):
@@ -123,7 +145,7 @@ class InprocTransport:
     name = "inproc"
 
     def exchange(self, line: str) -> str:
-        # encode_frame output is already canonical; the caller's decode validates
+        # the caller's decode_frame validates the line
         return line
 
     def close(self) -> None:
@@ -172,11 +194,16 @@ class _EchoHandler(socketserver.StreamRequestHandler):
                 continue
             frame = decode_frame(line)  # collectors reject malformed frames
             self.server.frames.append(frame)
-            self.wfile.write((encode_frame(frame) + "\n").encode("utf-8"))
+            self.wfile.write(raw)
 
 
 class FrameCollectorServer:
     """Threaded line server that validates, logs, and echoes frames.
+
+    Each line is decoded (a malformed one ends the connection, so the
+    client's exchange raises WireError), its frame appended to `frames`,
+    and the line itself written back unchanged, as InprocTransport hands it
+    back.
 
     The peer for `--transport tcp:<host>:<port>`: the CLI only connects to
     a collector, so start one yourself (as the tcp transport tests do).

@@ -177,6 +177,23 @@ def test_born_sample_distribution():
     assert np.max(np.abs(counts - probs)) <= 0.01
 
 
+def test_shared_bases_are_memoised_read_only_per_stream_object():
+    root = RngStream(34)
+    first, other = root.child(0), root.child(1)
+    bases = est._shared_bases(4, 2, first)
+    for i, u in enumerate(bases):
+        assert np.array_equal(u, sample_haar_unitary(4, first.child(i)))
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+    assert est._shared_bases(4, 2, first) is bases
+    # another stream gets its own bases; a fresh object at the same
+    # (seed, path) draws them again, with the same bits
+    assert not any(np.array_equal(u, v) for u, v in zip(bases, est._shared_bases(4, 2, other)))
+    again = est._shared_bases(4, 2, RngStream(34, (0,)))
+    assert again is not bases
+    assert all(np.array_equal(u, v) for u, v in zip(bases, again))
+
+
 def test_born_sample_rejects_bad_probabilities():
     rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
     not_unitary = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)

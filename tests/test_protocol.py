@@ -115,6 +115,62 @@ def test_finite_frame_bytes_unchanged():
     )
 
 
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400 + ".0"]
+
+
+def _frame_line(ptype, payload, to="referee"):
+    return (
+        f'{{"from":"alice","payload":{payload},"round":1,"run":"r","to":"{to}",'
+        f'"type":"{ptype}","v":1}}'
+    )
+
+
+@pytest.mark.parametrize("literal", _NON_FINITE, ids=lambda s: s if len(s) < 20 else "401-digit-float")
+def test_decode_frame_rejects_non_finite_numbers(literal):
+    for ptype, payload in [
+        ("scalar", literal),
+        ("state_vector", f"[[0.5,0.0],[{literal},0.0]]"),
+        ("result", f'{{"w":{literal},"raw":0.5}}'),
+    ]:
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(_frame_line(ptype, payload))
+
+
+def test_tcp_collector_refuses_non_finite_numbers():
+    server = wire.FrameCollectorServer().start()
+    try:
+        for literal in _NON_FINITE:
+            tp = wire.open_transport(f"tcp:{server.address}")
+            try:
+                with pytest.raises(wire.WireError, match="closed the connection"):
+                    tp.exchange(_frame_line("scalar", literal))
+            finally:
+                tp.close()
+        assert server.frames == []
+    finally:
+        server.stop()
+
+
+def test_non_canonical_line_comes_back_byte_for_byte():
+    # valid, but with spaces after separators and the keys in another order
+    line = (
+        '{"v": 1, "type": "state_vector", "run": "r", "round": 1, "to": "referee",'
+        ' "from": "alice", "payload": [[0.6, 0.0], [0.0, 0.8]]}'
+    )
+    assert wire.encode_frame(wire.decode_frame(line)) != line
+    assert wire.InprocTransport().exchange(line) == line
+    server = wire.FrameCollectorServer().start()
+    try:
+        tp = wire.open_transport(f"tcp:{server.address}")
+        try:
+            assert tp.exchange(line) == line
+        finally:
+            tp.close()
+        assert server.frames == [json.loads(line)]
+    finally:
+        server.stop()
+
+
 def test_bad_frames_rejected():
     with pytest.raises(wire.WireError):
         wire.decode_frame("not json")
@@ -199,6 +255,25 @@ def test_singlecopy_smp_bit_identical_to_direct():
         assert t.result["w"] == direct.value
         assert t.result["raw"] == direct.raw
         assert t.shared_seed == (rng.seed, rng.child(est.STREAM_SHARED).path)
+
+
+@pytest.mark.parametrize("n_bases", [1, 3])
+def test_singlecopy_draws_each_shared_basis_once_per_trial(monkeypatch, n_bases):
+    phi, psi, rng = _pair(seed=7)
+    drawn = []
+    draw = est.sample_haar_unitary
+    monkeypatch.setattr(est, "sample_haar_unitary", lambda d, s: drawn.append(s.path) or draw(d, s))
+    direct = est.singlecopy_estimate(phi, psi, n_bases, 16, rng)
+    shared = rng.child(est.STREAM_SHARED).path
+    assert drawn == [shared + (i,) for i in range(n_bases)]
+    drawn.clear()
+    a, b, ref = singlecopy_smp_strategies(8, n_bases, 16)
+    t = run_protocol(
+        Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng, shared_randomness=True,
+    )
+    assert drawn == [shared + (i,) for i in range(n_bases)]
+    assert t.result["w"] == direct.value
+    assert t.result["raw"] == direct.raw
 
 
 @pytest.mark.parametrize("k", range(1, 13))
