@@ -15,7 +15,6 @@ shared randomness, 1 is the first party, 2 is the second, 3 the referee.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -280,28 +279,33 @@ def singlecopy_outcomes(
 
     Basis i is the Haar unitary drawn from shared.child(i); its m shots
     come from rng.child(i), in ascending order. Each basis is drawn once per
-    trial: both parties receive the same shared stream object, and the
-    second one reuses the first one's draws (_shared_bases). They stay in
-    memory, n_bases * d**2 * 16 bytes, until another stream's bases replace
-    them, and so does the shared stream with the prefetch table it shares
-    with its root (about 150 kB for a trial loop's block of 768 paths)."""
+    trial: both parties receive the same shared stream, and the second one
+    takes the first one's draws (_shared_bases)."""
     out = np.empty((n_bases, m), dtype=np.int64)
     for i, u in enumerate(_shared_bases(rho.dim, n_bases, shared)):
         out[i] = born_sample(rho, u, m, rng.child(i))
     return out
 
 
-@functools.lru_cache(maxsize=1)
+_unclaimed_bases: dict = {}  # (d, n_bases, seed, path) -> one party's bases
+
+
 def _shared_bases(d: int, n_bases: int, shared: RngStream) -> tuple[np.ndarray, ...]:
     """The n_bases shared d x d Haar bases, basis i drawn from shared.child(i),
     read-only.
 
-    Memoised on the stream object itself (RngStream hashes by identity),
-    one entry: basis i is the first draw of a fresh child stream, so a hit
-    returns the bits a second draw would."""
-    bases = tuple(sample_haar_unitary(d, shared.child(i)) for i in range(n_bases))
-    for u in bases:
-        u.flags.writeable = False
+    A miss draws and keeps them for the other party under the value
+    (d, n_bases, shared.seed, shared.path), a hit hands them out and
+    empties the memo; it holds no stream. Basis i is the first draw of a
+    fresh child stream, so a hit returns the bits a second draw would."""
+    key = (d, n_bases, shared.seed, shared.path)
+    bases = _unclaimed_bases.pop(key, None)
+    if bases is None:
+        bases = tuple(sample_haar_unitary(d, shared.child(i)) for i in range(n_bases))
+        for u in bases:
+            u.flags.writeable = False
+        _unclaimed_bases.clear()
+        _unclaimed_bases[key] = bases
     return bases
 
 

@@ -143,7 +143,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
 
 
 def gen_dipe_instance(d: int, case: int, rng: RngStream) -> tuple[PureState, PureState]:
-    """Case 1: the same Haar state twice. Case 2: two independent draws."""
+    """Case 1: the same Haar state twice. Case 2: two independent Haar states,
+    not a promise f <= 1/2: f > 1/2 with probability 2^(1-d). The CLI runs
+    dipe-threshold only at d >= 8 (dipe_threshold_min_d), where that is at
+    most 1/128; dipe-pi0's closed form is for independent states."""
     if d < 2:
         raise ValueError("d must be >= 2")
     phi = sample_haar_state(d, rng)
@@ -456,12 +459,12 @@ def _mp_anchor_dev(d: int, k: int, stream: RngStream) -> float:
     """max |MP(|u><u|^{⊗k}) - rho_u| over entries, for one Haar u.
 
     Measuring k copies of u and preparing k copies of the outcome gives
-    the post-measurement state rho_u, so the term-list contraction and the
-    polynomial in the number operator N_u, built independently, must
-    agree. Unlike the spectrum, this sees the orientation of the
-    contraction (X against X^T). Both
-    sides are compared on (C^d)^{⊗k}, through the public lifts, so the
-    lifts are checked too; over budget it raises DenseBudgetError.
+    the post-measurement state rho_u, so the channel and the polynomial in
+    the number operator N_u must agree. Both use the ladder operators, so
+    the tests check each against a dense reference as well. Unlike the
+    spectrum, this sees the orientation of the channel (X against X^T).
+    Both sides are compared on (C^d)^{⊗k}, through the public lifts, so
+    the lifts are checked too; over budget it raises DenseBudgetError.
     """
     n = d**k
     # rho_u and the input, two complex n x n arrays, beside the channel's lift

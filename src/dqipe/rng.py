@@ -140,7 +140,7 @@ class _SeedWords:
 class RngStream:
     """A seeded, forkable random stream backed by numpy's SeedSequence."""
 
-    __slots__ = ("seed", "path", "_gen", "_table")
+    __slots__ = ("seed", "path", "_gen", "_table", "__weakref__")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)

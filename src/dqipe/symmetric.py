@@ -6,12 +6,12 @@ cloning channels.
 
 The post-measurement state and the measure-and-prepare channel are
 computed on Sym^k, in its occupation basis B of dimension
-D = C(d+k-1, k). rho_u_occupation is a polynomial in N_u, the D x D
-operator that counts the factors along u, and mp_channel_occupation pairs
-occupation vectors a + b = a' + b' with weights from exact multinomials,
-so neither builds an operator on (C^d)^{⊗k}. pi_u_t, rho_u_closed_form and
-mp_channel lift D x D operators to (C^d)^{⊗k} by B (...) B^T; the cloning
-channels stay dense and serve as a check.
+D = C(d+k-1, k), from the ladder operators a_i|l> = sqrt(l_i)|l - e_i>:
+rho_u_occupation is a polynomial in the number operator along u, and
+mp_channel_occupation Chiribella's combination of cloning channels and
+partial traces. pi_u_t, rho_u_closed_form and mp_channel lift D x D
+operators to (C^d)^{⊗k} by B (...) B^T; the cloning channels stay dense
+and serve as a check.
 
 Every build checks the bytes it will hold, computed from shapes, with
 check_budget before it allocates, and raises DenseBudgetError past
@@ -249,27 +249,39 @@ def block_spectrum(d: int, k: int) -> SymBlockSpectrum:
     return SymBlockSpectrum(d, k, betas, dims)
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder operators a_i from Sym^t to Sym^{t-1}: row m of a_i holds
+    amp[m, i] = sqrt(m_i + 1) at column up[m, i], the index of m + e_i.
+
+    Taking e_i away keeps type_vectors' lexicographic order, so up[:, i]
+    lists the vectors with l_i > 0 in order. Cached and read-only."""
+    types = np.array(type_vectors(d, t), dtype=np.intp).reshape(-1, d)
+    up = np.stack([np.flatnonzero(types[:, i]) for i in range(d)], axis=1)
+    amp = np.sqrt(np.take_along_axis(types, up, axis=0))
+    for arr in (up, amp):
+        arr.setflags(write=False)
+    return up, amp
+
+
 def _number_polynomial(u: np.ndarray, k: int, roots: list[int], scales: list[int]) -> np.ndarray:
     """prod_i (N_u - roots[i]) / scales[i] on Sym^k, in the occupation basis.
 
     N_u = b^H b counts the factors along u: b = sum_i conj(u_i) a_i is the
-    annihilator along u, with a_i|l> = sqrt(l_i)|l - e_i> from Sym^k to
-    Sym^{k-1}. Block t of the post-measurement state is N_u's eigenspace
-    for eigenvalue t. Its callers check the budget (_polynomial_bytes).
+    annihilator along u, from Sym^k to Sym^{k-1} (_ladder). Block t of the
+    post-measurement state is N_u's eigenspace for eigenvalue t. Its
+    callers check the budget (_polynomial_bytes).
     """
-    d = u.shape[0]
-    lower = {t: r for r, t in enumerate(type_vectors(d, k - 1))} if k else {}
-    types = type_vectors(d, k)
-    b = np.zeros((len(lower), len(types)), dtype=complex)
-    for j, l in enumerate(types):
-        for i, li in enumerate(l):
-            if li:
-                b[lower[l[:i] + (li - 1,) + l[i + 1 :]], j] = math.sqrt(li) * u[i].conjugate()
+    up, amp = _ladder(u.shape[0], k)
+    n = sym_dimension(u.shape[0], k)
+    b = np.zeros((len(up), n), dtype=complex)
+    for i, ui in enumerate(u):
+        b[np.arange(len(up)), up[:, i]] = amp[:, i] * ui.conjugate()
     num = b.conj().T @ b
-    out = np.eye(len(types), dtype=complex)
+    out = np.eye(n, dtype=complex)
     for root, scale in zip(roots, scales):
         factor = num / scale
-        factor.flat[:: len(types) + 1] -= root / scale
+        factor.flat[:: n + 1] -= root / scale
         out = out @ factor
     return out
 
@@ -358,79 +370,51 @@ def _multinomial(t: tuple[int, ...]) -> int:
     return math.factorial(sum(t)) // math.prod(math.factorial(x) for x in t)
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_terms(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat term list of the measure-and-prepare contraction on Sym^k.
-
-    One entry per matched (a, b, a', b') with a + b = a' + b', all of
-    them occupation vectors of weight k: the flat index b*D + b' into Y,
-    the flat index a'*D + a into X, and the weight c(a,b) c(a',b'), where
-    c(a,b) = <a+b|(|a>⊗|b>) = sqrt(M(a) M(b) / M(a+b)), the multinomials
-    exact integers rounded to float. Groups of equal a + b come in order
-    of first appearance and pairs within a group in (a, b) order, the
-    order of the accumulation. Cached and returned read-only.
-
-    Two budget checks: the D^2 pairs before they are grouped, then the
-    term list, with the temporaries of its build and of one contraction
-    over it, before it is expanded.
-    """
-    n = sym_dimension(d, k)
-    dtype = np.min_scalar_type(2 * k)
-    # the pair sums, two sorted copies and ten index arrays per pair
-    pair_bytes = n * n * (3 * d * dtype.itemsize + 80) + _overhead_bytes(d, n)
-    check_budget("measure-and-prepare pairs", pair_bytes)
-    types = type_vectors(d, k)
-    tv = np.array(types, dtype=dtype)
-    sums = (tv[:, None, :] + tv[None, :, :]).reshape(n * n, d)
-    keys = sums.view(np.dtype((np.void, d * dtype.itemsize))).ravel()
-    uniq, first_seen, group = np.unique(keys, return_index=True, return_inverse=True)
-    label = np.empty(len(uniq), dtype=np.intp)
-    label[np.argsort(first_seen)] = np.arange(len(uniq))
-    group = label[group.ravel()]
-    mult_c = np.empty(len(uniq))
-    mult_c[label] = [float(_multinomial(c.tolist())) for c in uniq.view(dtype).reshape(-1, d)]
-    mult = np.array([float(_multinomial(t)) for t in types])
-    pair_a, pair_b = np.divmod(np.arange(n * n), n)
-    coef = np.sqrt(mult[pair_a] * mult[pair_b] / mult_c[group])
-    sizes = np.bincount(group)
-    n_terms = int(sizes @ sizes)
-    # indices, weights and gathers of the build; a call then holds 40 bytes
-    # a term, Y, and its hermitian part with its DensityMatrix check
-    check_budget(
-        "measure-and-prepare terms", pair_bytes + 56 * n_terms + 16 * n * n + _density_bytes(n)
-    )
-    order = np.argsort(group, kind="stable")
-    g = group[order]
-    reps = sizes[g]  # each pair meets every pair of its group
-    block = np.cumsum(reps) - reps  # where a pair's terms start
-    start = (np.cumsum(sizes) - sizes)[g]  # where its group starts in `order`
-    second = np.repeat(start - block, reps) + np.arange(n_terms)
-    first = np.repeat(np.arange(n * n), reps)
-    a, b, c = pair_a[order], pair_b[order], coef[order]
-    y_idx = b[first] * n + b[second]
-    x_idx = a[second] * n + a[first]
-    weight = c[first] * c[second]
-    for arr in (y_idx, x_idx, weight):
-        arr.setflags(write=False)
-    return y_idx, x_idx, weight
-
-
 def mp_channel_occupation(x: np.ndarray, d: int, k: int) -> DensityMatrix:
     """Measure-and-prepare channel on Sym^k, in the basis B = sym_basis(d, k).
 
-    x is a unit-trace D x D operator in that basis. Measures with the
-    continuous POVM and re-prepares k copies of the outcome:
-    Y[b, b'] = scale * sum over a + b = a' + b' of c(a,b) c(a',b') X[a', a]
-    with c(a,b) = <a+b|(|a>⊗|b>) and scale = C(d+k-1, k) / C(d+2k-1, 2k),
-    which is scale * B^T Tr_1[(B x B^T ⊗ I) P_sym^{2k}] B.
+    x is a unit-trace D x D operator in that basis. Measuring with the
+    continuous POVM and re-preparing k copies is Chiribella's combination
+    (arXiv:1010.1875, dense in chiribella_combination): MP(X) =
+    sum_s w_s clone_{s->k}(X_s), X_s = Tr_{k-s} X, with
+    w_s = C(k,s) C(d+k-1, k-s) / C(d+2k-1, k). On Sym^t, with weights
+    sqrt((m_i + 1)(m'_i + 1)), Tr_1 X = (1/t) sum_i a_i X a_i^H reads X at
+    (m + e_i, m' + e_i) and B^T (Y ⊗ I) B = (1/t) sum_i a_i^H Y a_i adds
+    Y[m, m'] there; clone_{s->k} is D_s / D_k times k - s of the latter.
+    In Horner order: Z_0 = c_0 Tr X, Z_t = c_t X_t + B^T (Z_{t-1} ⊗ I) B,
+    MP(X) = Z_k, c_t = w_t D_t / D_k. The output is hermitised and divided
+    by its trace, which keeps it exactly [[1.0]] at d=1.
     """
-    n = sym_dimension(d, k)
-    y_idx, x_idx, weight = _mp_terms(d, k)
-    flat = x.ravel()
-    y = np.bincount(y_idx, weight * flat.real[x_idx], n * n)
-    y = y + 1j * np.bincount(y_idx, weight * flat.imag[x_idx], n * n)
-    y = (math.comb(d + k - 1, k) / math.comb(d + 2 * k - 1, 2 * k)) * y.reshape(n, n)
-    return DensityMatrix((y + y.conj().T) / 2)
+    dims = [sym_dimension(d, t) for t in range(k + 1)]
+    # Z_k, and beside it either the steps (X_t and Z_t below the top, and
+    # a gather with its weights and product over all d modes) or the
+    # Hermitian part with the output's DensityMatrix check
+    steps = sum(32 * n * n for n in dims[:-1]) + 48 * d * max(dims[:-1], default=0) ** 2
+    check_budget(
+        "mp_channel_occupation",
+        16 * dims[k] ** 2 + max(steps, _density_bytes(dims[k])) + _overhead_bytes(d, dims[k]),
+    )
+
+    def entries(t):
+        # mode i's entries (m + e_i, m' + e_i) of level t and their weights
+        up, amp = _ladder(d, t)
+        return (up.T[:, :, None], up.T[:, None, :]), amp.T[:, :, None] * amp.T[:, None, :]
+
+    levels = [np.asarray(x, dtype=complex)]  # X_k down to X_0, then reversed
+    for t in range(k, 0, -1):
+        at, weight = entries(t)
+        levels.append((weight * levels[-1][at]).sum(axis=0) / t)
+    levels.reverse()
+    den = math.comb(d + 2 * k - 1, k) * dims[k]
+    c = [math.comb(k, t) * math.comb(d + k - 1, k - t) * dims[t] / den for t in range(k + 1)]
+    z = c[0] * levels[0]
+    for t in range(1, k + 1):
+        at, weight = entries(t)
+        below = z / t
+        z = c[t] * levels[t]
+        np.add.at(z, at, weight * below)
+    z = (z + z.conj().T) / 2
+    return DensityMatrix(z / np.trace(z).real)
 
 
 def mp_channel(tau: DensityMatrix, d: int, k: int) -> DensityMatrix:

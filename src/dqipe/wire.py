@@ -9,7 +9,9 @@ in-process transport is equivalent to running the computation directly.
 
 Every number on the wire is finite: `encode_frame` refuses NaN and
 infinities, and `decode_frame` refuses the literals NaN, Infinity and
--Infinity and any float literal that overflows (such as 1e400).
+-Infinity and any float literal that overflows (such as 1e400);
+`decode_payload` refuses a scalar that is not a finite float and an
+integer too large for a float (such as 10**400), all with WireError.
 
 Each frame costs one encode and one validating decode (by the protocol
 harness). Both transports hand the line back unchanged: the in-process one
@@ -65,7 +67,7 @@ def decode_payload(ptype: str, payload) -> object:
             return np.fromiter(
                 itertools.starmap(complex, payload), dtype=complex, count=len(payload)
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise WireError(f"bad state_vector payload: {exc}") from exc
     if ptype == "outcomes":
         # the encoder's rule: a flat list of integers, each fitting int64
@@ -76,7 +78,10 @@ def decode_payload(ptype: str, payload) -> object:
         except OverflowError as exc:
             raise WireError(f"bad outcomes payload: {exc}") from exc
     if ptype == "scalar":
-        return float(payload)
+        # the encoder's rule: one finite float
+        if type(payload) is not float or not math.isfinite(payload):
+            raise WireError("scalar payload must be a finite float")
+        return payload
     if ptype in ("hello", "result"):
         return payload
     raise WireError(f"unknown payload type {ptype!r}")
@@ -129,6 +134,8 @@ def decode_frame(line: str) -> dict:
         frame = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise WireError(f"bad frame: {exc}") from exc
+    if not isinstance(frame, dict):
+        raise WireError(f"frame is not a JSON object: {line[:32]!r}")
     for key in ("v", "run", "round", "from", "to", "type", "payload"):
         if key not in frame:
             raise WireError(f"frame missing {key!r}")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +194,23 @@ def test_shared_bases_are_memoised_read_only_per_stream_object():
     again = est._shared_bases(4, 2, RngStream(34, (0,)))
     assert again is not bases
     assert all(np.array_equal(u, v) for u, v in zip(bases, again))
+
+
+def test_shared_bases_memo_keeps_no_stream(monkeypatch):
+    # keyed by value, the memo lets the trial's shared stream, and with it
+    # the prefetch table it shares with its root, be collected
+    refs = []
+    memo = est._shared_bases
+
+    def spy(d, n_bases, shared):
+        refs.append(weakref.ref(shared))
+        return memo(d, n_bases, shared)
+
+    monkeypatch.setattr(est, "_shared_bases", spy)
+    phi, psi = (PureState(np.eye(4, dtype=complex)[i]) for i in (0, 1))
+    est.singlecopy_estimate(phi, psi, 2, 8, RngStream(35))
+    gc.collect()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
 
 
 def test_born_sample_rejects_bad_probabilities():

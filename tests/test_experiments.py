@@ -588,7 +588,7 @@ def test_mp_bound_check_gate_has_power():
     assert 0 < result.summary["min_eig_slack"] < 0.1 * result.summary["floor_over_D"]
 
 
-@pytest.mark.parametrize("d,k", [(9, 3), (12, 3)])
+@pytest.mark.parametrize("d,k", [(9, 3), (12, 3), (16, 3), (12, 4)])
 def test_mp_bound_check_runs_at_k_squared_over_d_near_one(d, k):
     result = ex.run_experiment(ex.ExperimentConfig("mp-bound-check", d=d, k=k, trials=2))
     assert result.passed and result.summary["min_eig_slack"] > 0

@@ -1,5 +1,7 @@
 import json
 import math
+import socketserver
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from dqipe import estimators as est
 from dqipe import protocol, wire
+from dqipe.cli import main as cli_main
 from dqipe.protocol import (
     Interactive,
     Message,
@@ -169,6 +172,51 @@ def test_non_canonical_line_comes_back_byte_for_byte():
         assert server.frames == [json.loads(line)]
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize(
+    "payload", ["nan", "inf", "1e400", "0.5", [0.5], {"w": 0.5}, None, True, 1, 10**400, math.nan, -math.inf]
+)
+def test_decode_payload_refuses_scalars_that_are_not_finite_floats(payload):
+    with pytest.raises(wire.WireError, match="scalar payload"):
+        wire.decode_payload("scalar", payload)
+    assert wire.decode_payload("scalar", 0.5) == 0.5
+
+
+def test_decode_payload_refuses_state_vector_entries_too_large_for_a_float():
+    for bad in ([[10**400, 0.0]], [[0.5, 0.0], [0.5, -(10**400)]]):
+        with pytest.raises(wire.WireError, match="bad state_vector payload"):
+            wire.decode_payload("state_vector", bad)
+
+
+@pytest.mark.parametrize("line", ["3", "null", "true", '"frame"', "[1, 2]"])
+def test_decode_frame_refuses_a_line_that_is_not_an_object(line):
+    with pytest.raises(wire.WireError, match="not a JSON object"):
+        wire.decode_frame(line)
+
+
+def test_cli_exits_2_when_the_collector_answers_a_non_object(capsys):
+    class _AnswerThree(socketserver.StreamRequestHandler):
+        def handle(self):
+            for _ in self.rfile:
+                self.wfile.write(b"3\n")
+
+    class _Server(socketserver.ThreadingTCPServer):
+        daemon_threads = True
+
+    server = _Server(("127.0.0.1", 0), _AnswerThree)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        host, port = server.server_address[:2]
+        argv = ["estimate-multicopy", "--trials", "2", "--transport", f"tcp:{host}:{port}"]
+        assert cli_main(argv) == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dqipe: frame is not a JSON object")
 
 
 def test_bad_frames_rejected():

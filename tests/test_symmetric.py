@@ -230,8 +230,8 @@ def test_mp_channel_trace_and_warning():
 
 @pytest.mark.parametrize("d", [2, 5, 141])
 def test_mp_channel_k1_closed_form(d):
-    # one copy: mp(rho) = (rho + I) / (d + 1); at d = 141 the term list has
-    # 39621 entries
+    # one copy: mp(rho) = (rho + I) / (d + 1); at d = 141 each trace and
+    # clone step runs over 141 ladder operators
     g = RngStream(d).rng
     z = g.standard_normal((d, 3)) + 1j * g.standard_normal((d, 3))
     m = z @ z.conj().T
@@ -326,12 +326,13 @@ def test_dense_budget_guard(monkeypatch):
 
     # every build below enumerates occupation vectors once its guard passes
     monkeypatch.setattr(sym, "type_vectors", allocate)
-    # 2^24 x 25 doubles; 16^4 x 16^4 complex; 3876^2 pairs of occupation vectors
+    # 2^24 x 25 doubles; 16^4 x 16^4 complex; D = C(19, 4) = 3876, one complex
+    # D x D matrix is 240 MB
     with pytest.raises(sym.DenseBudgetError, match="^sym_basis: needs 3200.3 MiB"):
         sym.sym_basis(2, 24)
     with pytest.raises(sym.DenseBudgetError, match="^mp_channel: needs"):
         sym.mp_channel(None, 16, 4)
-    with pytest.raises(sym.DenseBudgetError, match="^measure-and-prepare pairs: needs"):
+    with pytest.raises(sym.DenseBudgetError, match="^mp_channel_occupation: needs"):
         sym.mp_channel_occupation(None, 16, 4)
     # D = C(20, 5) = 15504: its D x D arrays alone need GiBs
     with pytest.raises(sym.DenseBudgetError, match="^rho_u_occupation: needs"):
@@ -359,7 +360,7 @@ def _estimate_and_peak(monkeypatch, build):
     monkeypatch.setattr(oracles, "check_budget", spy)
     sym.sym_basis.cache_clear()
     sym._sym_projector_cached.cache_clear()
-    sym._mp_terms.cache_clear()
+    sym._ladder.cache_clear()
     tracemalloc.start()
     try:
         build()
@@ -375,9 +376,13 @@ def test_basis_byte_estimate_bounds_its_build(dk, monkeypatch):
     assert estimate >= peak
 
 
-@pytest.mark.parametrize("dk", [(6, 2), (9, 3)])
+@pytest.mark.parametrize("dk", [(6, 2), (9, 3), (16, 3)])
 def test_term_list_byte_estimate_bounds_its_build(dk, monkeypatch):
-    estimate, peak = _estimate_and_peak(monkeypatch, lambda: sym._mp_terms(*dk))
+    # the measure-and-prepare channel on Sym^k, ladder tables built cold
+    n = sym.sym_dimension(*dk)
+    z = RngStream(n).rng.standard_normal((n, 2)) @ np.array([1.0, 1.0j])
+    x = np.outer(z, z.conj()) / np.vdot(z, z).real
+    estimate, peak = _estimate_and_peak(monkeypatch, lambda: sym.mp_channel_occupation(x, *dk))
     assert estimate >= peak
 
 
@@ -415,31 +420,22 @@ def test_oracle_byte_estimate_bounds_its_build(dk, monkeypatch):
     assert estimate >= peak
 
 
-def _mp_terms_loop(d, k):
-    """Reference: the term list built pair by pair in Python, with exact
-    rational coefficients."""
-    types = sym.type_vectors(d, k)
-    n = len(types)
-    mult = [sym._multinomial(t) for t in types]
-    groups = {}
-    for ia, a in enumerate(types):
-        for ib, b in enumerate(types):
-            groups.setdefault(tuple(x + y for x, y in zip(a, b)), []).append((ia, ib))
-    y_idx, x_idx, weight = [], [], []
-    for c, pairs in groups.items():
-        mc = sym._multinomial(c)
-        coef = [math.sqrt(Fraction(mult[ia] * mult[ib], mc)) for ia, ib in pairs]
-        for (ia, ib), ca in zip(pairs, coef):
-            for (ia2, ib2), ca2 in zip(pairs, coef):
-                y_idx.append(ib * n + ib2)
-                x_idx.append(ia2 * n + ia)
-                weight.append(ca * ca2)
-    return y_idx, x_idx, weight
+def test_dense_references_catch_a_perturbed_ladder(monkeypatch):
+    # the channel and rho_u share the ladder operators; the references share
+    # nothing with them, so a wrong amplitude sqrt(l_i) -> sqrt(l_i + 1) fails both
+    d, k = 3, 2
+    u = sample_haar_state(d, RngStream(17))
+    v = np.kron(u.amplitudes, u.amplitudes)
+    tau = np.outer(v, v.conj())
+    ladder = sym._ladder
 
+    def perturbed(d, t):
+        up, amp = ladder(d, t)
+        return up, np.sqrt(amp**2 + 1)
 
-@pytest.mark.parametrize("dk", [(1, 3), (2, 1), (2, 6), (3, 2), (4, 3), (6, 2), (20, 1), (3, 0)])
-def test_mp_terms_equal_the_pair_loop(dk):
-    # same terms in the same order, so the channel accumulates identically;
-    # bit for bit while the multinomials stay below 2^53
-    for new, old in zip(sym._mp_terms(*dk), _mp_terms_loop(*dk)):
-        assert np.array_equal(new, np.array(old)) and new.dtype == np.array(old).dtype
+    for mutate in (False, True):
+        if mutate:
+            monkeypatch.setattr(sym, "_ladder", perturbed)
+        mp_dev = np.max(np.abs(sym.mp_channel(DensityMatrix(tau), d, k).matrix - _mp_dense_reference(tau, d, k)))
+        rho_dev = np.max(np.abs(sym.rho_u_closed_form(u, k).matrix - _rho_u_kron_reference(u, k)))
+        assert (mp_dev > 1e-3, rho_dev > 1e-3) == (mutate, mutate)
