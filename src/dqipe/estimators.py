@@ -312,6 +312,10 @@ def _shared_bases(d: int, n_bases: int, shared: RngStream) -> tuple[np.ndarray, 
 def singlecopy_referee(x: np.ndarray, y: np.ndarray, d: int) -> tuple[float, float]:
     """Referee step of the single-copy route: (estimate, raw collision
     fraction), each averaged over the rows (bases) of the two outcome arrays."""
+    x, y = np.asarray(x), np.asarray(y)
+    for z in (x, y):
+        if z.size and not 0 <= z.min() <= z.max() < d:
+            raise ValueError(f"outcomes must lie in [0, {d}), got {z.min()}..{z.max()}")
     raws = np.array([classical_collision(xi, yi) for xi, yi in zip(x, y)])
     vals = (d + 1) * raws - 1.0
     return float(vals.mean()), float(raws.mean())

@@ -291,7 +291,7 @@ def _run_estimate(
     streams, shared_randomness: bool = False,
 ) -> tuple[list, dict, bool]:
     """Run an SMP estimation protocol once per trial; params are the
-    estimator's parameters, reported in each hello frame and the summary.
+    estimator's parameters, reported in the summary.
     streams are the sub-paths of trial t's stream (t,) that the state pair
     and the strategies draw from."""
     transport = open_transport(config.transport)
@@ -305,7 +305,7 @@ def _run_estimate(
                 Smp(), alice, bob, referee,
                 {Role.ALICE: phi, Role.BOB: psi}, run_rng,
                 transport=transport, shared_randomness=shared_randomness,
-                run_id=f"trial{t}", meta={"d": config.d, **params},
+                run_id=f"trial{t}",
             )
             rows.append(
                 {
@@ -386,7 +386,6 @@ def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
                     OneWay(), alice, bob, referee,
                     {Role.ALICE: phi, Role.BOB: psi}, tr.child(1),
                     transport=transport, run_id=f"case{case}-trial{t}",
-                    meta={"d": config.d, "k": k},
                 )
                 hits += run.result["case"] == case
                 if case == 2:

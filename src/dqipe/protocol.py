@@ -4,9 +4,10 @@ Alice, Bob, and the Referee exchange classical messages under one of
 three settings: simultaneous messages to the referee, a single one-way
 Alice-to-Bob message, or alternating interactive rounds. Strategies are
 callbacks receiving a PartyContext (own quantum input, own rng stream,
-messages visible so far); every message passes through a pluggable
-transport as a wire frame, so the in-process and tcp transports produce
-identical transcripts.
+messages visible so far). Only the parties' messages go over the wire:
+each is checked against the setting's rules before it is encoded, then
+passes through a pluggable transport as one wire frame, so the in-process
+and tcp transports produce identical transcripts.
 
 Stream assignment matches the estimator layout: shared randomness is
 child 0, Alice child 1, Bob child 2, Referee child 3 of the run stream.
@@ -17,8 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .estimators import (
     STREAM_SHARED, STREAM_ALICE, STREAM_BOB, STREAM_REFEREE,
@@ -144,7 +143,6 @@ def run_protocol(
     transport=None,
     shared_randomness: bool = False,
     run_id: str = "run",
-    meta: dict | None = None,
 ) -> Transcript:
     """Execute the three strategies under the setting; return the validated
     transcript. Deterministic given (seed, setting, strategies)."""
@@ -154,35 +152,16 @@ def run_protocol(
         setting=setting,
         shared_seed=(shared.seed, shared.path) if shared is not None else None,
     )
-    allowed = _EDGES[setting.name]
-    seq = [0]  # current round counter; hello is round 0
-
-    def through_wire(sender, receiver, ptype, payload, round_):
-        frame = make_frame(run_id, round_, sender.value, receiver.value, ptype, payload)
-        line = transport.exchange(encode_frame(frame))
-        back = decode_frame(line)
-        return back, len(line.encode("utf-8"))
-
-    hello = dict(meta or {})
-    hello["setting"] = setting.name
-    if shared is not None:
-        hello["shared_seed"] = [shared.seed, list(shared.path)]
-    through_wire(Role.REFEREE, Role.REFEREE, "hello", hello, 0)
 
     def deliver(sender: Role, receiver: Role, mtype: str, payload):
-        if sender == receiver:
-            raise ProtocolViolation(f"{sender.value} cannot message itself")
-        if (sender, receiver) not in allowed:
-            raise ProtocolViolation(
-                f"{sender.value}→{receiver.value} not allowed in {setting.name}"
-            )
-        if setting.name in ("smp", "oneway"):
-            if any(m.sender == sender for m in transcript.messages):
-                raise ProtocolViolation(
-                    f"second message from {sender.value} in {setting.name}"
-                )
-        seq[0] += 1
-        back, nbytes = through_wire(sender, receiver, mtype, payload, seq[0])
+        round_ = len(transcript.messages) + 1
+        candidate = Message(round_, sender, receiver, mtype, payload, 0)
+        verdict = _violation(setting, [*transcript.messages, candidate], complete=False)
+        if verdict is not None:
+            raise ProtocolViolation(verdict)
+        frame = make_frame(run_id, round_, sender.value, receiver.value, mtype, payload)
+        line = transport.exchange(encode_frame(frame))
+        back = decode_frame(line)
         transcript.messages.append(
             Message(
                 round=back["round"],
@@ -190,7 +169,7 @@ def run_protocol(
                 receiver=Role(back["to"]),
                 mtype=back["type"],
                 payload=decode_payload(back["type"], back["payload"]),
-                nbytes=nbytes,
+                nbytes=len(line.encode("utf-8")),
             )
         )
 
@@ -219,8 +198,6 @@ def run_protocol(
                 break
 
     transcript.result = referee_strategy(ctx(Role.REFEREE, STREAM_REFEREE))
-    seq[0] += 1
-    through_wire(Role.REFEREE, Role.REFEREE, "result", _jsonable(transcript.result), seq[0])
 
     verdict = validate_transcript(transcript)
     if verdict != "ok":
@@ -228,54 +205,52 @@ def run_protocol(
     return transcript
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def validate_transcript(t: Transcript) -> str:
     """Return "ok" or a description of the first violation found."""
-    allowed = _EDGES[t.setting.name]
+    return _violation(t.setting, t.messages, complete=True) or "ok"
+
+
+def _violation(setting: Setting, messages: list[Message], complete: bool) -> str | None:
+    """The first rule of the setting that the messages break, or None.
+
+    With complete=False the messages are a run so far, and only what no
+    later message could mend is a violation: a missing SMP message or
+    one-way report is not."""
+    allowed = _EDGES[setting.name]
     last_round = 0
-    for m in t.messages:
+    for m in messages:
         if m.sender == m.receiver:
             return f"message from {m.sender.value} to itself"
         if (m.sender, m.receiver) not in allowed:
-            return f"{_edge_label(m)} not allowed in {t.setting.name.upper()}"
+            return f"{_edge_label(m)} not allowed in {setting.name.upper()}"
         if m.round < last_round:
             return f"round numbers decrease at round {m.round}"
         last_round = m.round
 
-    if isinstance(t.setting, Smp):
+    if isinstance(setting, Smp):
         for who in (Role.ALICE, Role.BOB):
-            n = sum(1 for m in t.messages if m.sender == who)
-            if n != 1:
+            n = sum(1 for m in messages if m.sender == who)
+            if n > 1 or (complete and n != 1):
                 return f"{who.value} sent {n} messages in SMP, expected 1"
-    elif isinstance(t.setting, OneWay):
-        edges = [(m.sender, m.receiver) for m in t.messages]
-        if edges != [(Role.ALICE, Role.BOB), (Role.BOB, Role.REFEREE)]:
+    elif isinstance(setting, OneWay):
+        edges = [(m.sender, m.receiver) for m in messages]
+        want = [(Role.ALICE, Role.BOB), (Role.BOB, Role.REFEREE)]
+        if edges != (want if complete else want[:len(edges)]):
             return "one-way requires exactly A→B then B→Referee"
     else:
-        chat = [m for m in t.messages if m.receiver != Role.REFEREE]
-        reports = [m for m in t.messages if m.receiver == Role.REFEREE]
-        if len(chat) > t.setting.max_rounds:
-            return (
-                f"{len(chat)} alternations exceed max_rounds={t.setting.max_rounds}"
-            )
+        chat = [m for m in messages if m.receiver != Role.REFEREE]
+        reports = [m for m in messages if m.receiver == Role.REFEREE]
+        if len(chat) > setting.max_rounds:
+            return f"{len(chat)} alternations exceed max_rounds={setting.max_rounds}"
         for i, m in enumerate(chat):
             want = Role.ALICE if i % 2 == 0 else Role.BOB
             if m.sender != want:
                 return f"alternation broken at message {i}: {m.sender.value} sent twice"
         if len(reports) > 1:
             return "more than one report to the referee"
-        if reports and t.messages[-1] is not reports[0]:
+        if reports and messages[-1] is not reports[0]:
             return "report to the referee must be the last message"
-    return "ok"
+    return None
 
 
 def _edge_label(m: Message) -> str:
@@ -284,11 +259,8 @@ def _edge_label(m: Message) -> str:
 
 
 def transcript_cost(t: Transcript) -> tuple[int, int]:
-    """(message count, total bytes on the wire) of the parties' messages.
-
-    The hello and result frames that run_protocol also sends through the
-    transport carry bookkeeping, not the protocol's communication, and are
-    not counted."""
+    """(message count, total bytes on the wire) of the parties' messages,
+    which are all the frames run_protocol sends."""
     return len(t.messages), sum(m.nbytes for m in t.messages)
 
 

@@ -1,17 +1,19 @@
 """Line-oriented JSON wire format for protocol messages.
 
-Each frame is one JSON object per line:
+Each frame is one party's message, one JSON object per line:
 {"v": 1, "run": ..., "round": ..., "from": ..., "to": ..., "type": ...,
  "payload": ...}
-with complex amplitudes encoded as [re, im] pairs. Floats round-trip bit
-for bit through the encoder (json emits repr of the double), so an
-in-process transport is equivalent to running the computation directly.
+where the type is one of FRAME_TYPES and complex amplitudes are encoded
+as [re, im] pairs. Floats round-trip bit for bit through the encoder (json
+emits repr of the double), so an in-process transport is equivalent to
+running the computation directly.
 
 Every number on the wire is finite: `encode_frame` refuses NaN and
 infinities, and `decode_frame` refuses the literals NaN, Infinity and
 -Infinity and any float literal that overflows (such as 1e400);
-`decode_payload` refuses a scalar that is not a finite float and an
-integer too large for a float (such as 10**400), all with WireError.
+`decode_payload` refuses a scalar that is not a finite float and a
+state_vector that is not a list of [re, im] pairs of floats (such as an
+integer 10**400 or the string "nan"), all with WireError.
 
 Each frame costs one encode and one validating decode (by the protocol
 harness). Both transports hand the line back unchanged: the in-process one
@@ -33,7 +35,7 @@ import numpy as np
 
 WIRE_VERSION = 1
 
-FRAME_TYPES = ("hello", "state_vector", "outcomes", "scalar", "result")
+FRAME_TYPES = ("state_vector", "outcomes", "scalar")
 
 
 class WireError(ValueError):
@@ -56,19 +58,21 @@ def encode_payload(ptype: str, payload) -> object:
         return arr.tolist()
     if ptype == "scalar":
         return float(payload)
-    if ptype in ("hello", "result"):
-        return payload
     raise WireError(f"unknown payload type {ptype!r}")
 
 
 def decode_payload(ptype: str, payload) -> object:
     if ptype == "state_vector":
+        # the encoder's rule: a list of [re, im] pairs of floats
         try:
-            return np.fromiter(
-                itertools.starmap(complex, payload), dtype=complex, count=len(payload)
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise WireError(f"bad state_vector payload: {exc}") from exc
+            flat = list(itertools.chain.from_iterable(payload))
+            pairs = type(payload) is list and set(map(len, payload)) <= {2}
+        except TypeError:  # not a list of sized entries
+            pairs = False
+        if not pairs or not set(map(type, flat)) <= {float}:
+            raise WireError("bad state_vector payload: expected a list of [re, im] pairs of floats")
+        # float64 (re, im) pairs are complex128 in memory, so every bit is kept
+        return np.fromiter(flat, dtype=np.float64, count=len(flat)).view(complex)
     if ptype == "outcomes":
         # the encoder's rule: a flat list of integers, each fitting int64
         if type(payload) is not list or not set(map(type, payload)) <= {int}:
@@ -81,8 +85,6 @@ def decode_payload(ptype: str, payload) -> object:
         # the encoder's rule: one finite float
         if type(payload) is not float or not math.isfinite(payload):
             raise WireError("scalar payload must be a finite float")
-        return payload
-    if ptype in ("hello", "result"):
         return payload
     raise WireError(f"unknown payload type {ptype!r}")
 

@@ -226,6 +226,14 @@ def test_classical_collision_hand_values():
     assert est.classical_collision(np.array([5]), np.array([5])) == 1.0
 
 
+@pytest.mark.parametrize("x,y", [([[40, 1]], [[40, 2]]), ([[-1, 1]], [[0, 1]]), ([[0, 1]], [[0, 32]])])
+def test_singlecopy_referee_refuses_outcomes_outside_the_dimension(x, y):
+    # at d=32, [[40, 1]] against [[40, 2]] used to give w = 7.25; -1 died in bincount
+    with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 32\)"):
+        est.singlecopy_referee(np.array(x), np.array(y), 32)
+    assert est.singlecopy_referee(np.array([[31, 1]]), np.array([[31, 2]]), 32) == (7.25, 0.25)
+
+
 @given(
     m=st.integers(min_value=1, max_value=3),
     raw=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=3),

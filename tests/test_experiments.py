@@ -610,7 +610,7 @@ def test_mp_bound_check_anchor_sees_a_transposed_contraction(d, k, monkeypatch):
     assert not mutated.passed
 
 
-def test_mp_bound_check_over_budget_exits_2_before_the_pair_loop(monkeypatch, capsys):
+def test_mp_bound_check_over_budget_exits_2_before_the_trial_loop(monkeypatch, capsys):
     monkeypatch.setattr(sym, "type_vectors", _refuse_dense_work)
     monkeypatch.setattr(sym, "mp_channel_occupation", _refuse_dense_work)
     assert cli_main(["mp-bound-check", "--d", "16", "--k", "4"]) == 2
@@ -705,7 +705,7 @@ _PINNED_RUNS = [
     (["dipe-pi0", "--d", "8", "--trials", "30"],
      "b77d6f2fdb676d343d2cf61836d3a515cd5a157fcece7d9c9f4d9c78e2163c1e"),
 ]
-_PINNED_FRAMES = "e8236a2c0f6fb31476766b2ed195ab9e7af8772c20ea090769f7a0da6b8cd3c3"
+_PINNED_FRAMES = "9433f5f7b937024bb7bc217560e53bbfd48ea28693b0c7518049eb52bcc5204a"
 
 
 def test_seeded_frames_and_results_pinned(monkeypatch, capsys):
@@ -725,5 +725,5 @@ def test_seeded_frames_and_results_pinned(monkeypatch, capsys):
         doc = json.loads(capsys.readouterr().out)
         del doc["wall_clock"]
         assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == want, argv[0]
-    assert count == 480
+    assert count == 240
     assert frames.hexdigest() == _PINNED_FRAMES

@@ -71,8 +71,10 @@ def test_state_vector_codec_is_bit_exact_at_the_edges():
 def test_bad_state_vector_payloads_rejected():
     with pytest.raises(wire.WireError):
         wire.encode_payload("state_vector", np.eye(2))
-    for bad in ([[1.0, 2.0, 3.0]], [[None, 1.0]], [["1.0", "0.0"]], 1.0):
-        with pytest.raises(wire.WireError):
+    for bad in ([[1.0, 2.0, 3.0]], [[None, 1.0]], [["1.0", "0.0"]], 1.0,
+                [["nan"]], [["1e400"]], [[1.0]], [[True, False]], [["1+2j"]],
+                [[0.5, 0.0], [1, 0.0]], [[0.5, 0.0], 1.0], ["ab"], {"0": [0.5, 0.0]}):
+        with pytest.raises(wire.WireError, match="bad state_vector payload"):
             wire.decode_payload("state_vector", bad)
 
 
@@ -133,7 +135,7 @@ def test_decode_frame_rejects_non_finite_numbers(literal):
     for ptype, payload in [
         ("scalar", literal),
         ("state_vector", f"[[0.5,0.0],[{literal},0.0]]"),
-        ("result", f'{{"w":{literal},"raw":0.5}}'),
+        ("outcomes", f"[0,{literal},1]"),
     ]:
         with pytest.raises(wire.WireError):
             wire.decode_frame(_frame_line(ptype, payload))
@@ -217,6 +219,18 @@ def test_cli_exits_2_when_the_collector_answers_a_non_object(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("dqipe: frame is not a JSON object")
+
+
+@pytest.mark.parametrize("ptype", ["hello", "result"])
+def test_bookkeeping_frame_types_are_refused(ptype):
+    # only the parties' messages go over the wire
+    assert wire.FRAME_TYPES == ("state_vector", "outcomes", "scalar")
+    with pytest.raises(wire.WireError, match="unknown frame type"):
+        wire.decode_frame(_frame_line(ptype, '{"setting":"smp"}'))
+    with pytest.raises(wire.WireError, match="unknown frame type"):
+        wire.make_frame("r", 0, "referee", "referee", ptype, {"setting": "smp"})
+    with pytest.raises(wire.WireError, match="unknown payload type"):
+        wire.decode_payload(ptype, {"setting": "smp"})
 
 
 def test_bad_frames_rejected():
@@ -371,6 +385,21 @@ def test_singlecopy_smp_without_shared_randomness_names_it():
         run_protocol(Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng)
 
 
+@pytest.mark.parametrize("outcome", [40, -1])
+def test_singlecopy_smp_referee_refuses_a_peers_outcome_outside_the_dimension(outcome):
+    phi, psi, rng = _pair(d=32)
+    alice, bob, referee = singlecopy_smp_strategies(32, 1, 2)
+
+    def bad_alice(ctx):
+        ctx.send(Role.REFEREE, "outcomes", np.array([outcome, 1]))
+
+    with pytest.raises(ValueError, match=r"outcomes must lie in \[0, 32\)"):
+        run_protocol(
+            Smp(), bad_alice, bob, referee, {Role.ALICE: phi, Role.BOB: psi}, rng,
+            shared_randomness=True,
+        )
+
+
 def test_pi0_oneway_two_messages():
     phi, psi, rng = _pair(seed=8, d=6, f=0.0)
     a, b, ref = pi0_oneway_strategies(3)
@@ -390,7 +419,7 @@ def test_disallowed_send_raises_and_names_edge():
     def bob(ctx):
         ctx.send(Role.REFEREE, "scalar", 1.0)
 
-    with pytest.raises(ProtocolViolation, match="alice→bob not allowed in smp"):
+    with pytest.raises(ProtocolViolation, match="A→B not allowed in SMP"):
         run_protocol(
             Smp(), bad_alice, bob, lambda ctx: None,
             {Role.ALICE: phi, Role.BOB: psi}, rng,
@@ -404,7 +433,7 @@ def test_second_message_rejected_in_smp():
         ctx.send(Role.REFEREE, "scalar", 1.0)
         ctx.send(Role.REFEREE, "scalar", 2.0)
 
-    with pytest.raises(ProtocolViolation, match="second message"):
+    with pytest.raises(ProtocolViolation, match="alice sent 2 messages in SMP, expected 1"):
         run_protocol(
             Smp(), chatty, chatty, lambda ctx: None,
             {Role.ALICE: phi, Role.BOB: psi}, rng,
@@ -466,7 +495,7 @@ def test_tcp_transport_matches_inproc():
         server.stop()
 
     assert t_tcp.result == t_in.result
-    assert len(server.frames) == len(t_in.messages) + 2  # hello and result too
+    assert len(server.frames) == len(t_in.messages)
     for m1, m2 in zip(t_in.messages, t_tcp.messages):
         assert np.array_equal(m1.payload, m2.payload)
         assert m1.nbytes == m2.nbytes
@@ -526,6 +555,75 @@ def test_tcp_lines_equal_inproc_lines_byte_for_byte(case):
     finally:
         server.stop()
 
-    assert len(inproc.lines) == 4  # hello, two party messages, result
+    assert len(inproc.lines) == 2  # the two party messages
     assert tcp.lines == inproc.lines
     assert all(sent == back for sent, back in inproc.lines)
+
+
+def test_oneway_report_before_alice_sends_never_reaches_the_wire():
+    phi, psi, rng = _pair()
+
+    def silent_alice(ctx):
+        pass
+
+    def bob(ctx):
+        ctx.send(Role.REFEREE, "scalar", 1.0)
+
+    recording = _Recording(wire.InprocTransport())
+    with pytest.raises(ProtocolViolation) as refused:
+        run_protocol(
+            OneWay(), silent_alice, bob, lambda ctx: None,
+            {Role.ALICE: phi, Role.BOB: psi}, rng, transport=recording,
+        )
+    # the send-time rule is the validator's, word for word
+    assert str(refused.value) == validate_transcript(
+        Transcript(OneWay(), [_msg(Role.BOB, Role.REFEREE)])
+    ) == "one-way requires exactly A→B then B→Referee"
+    assert recording.lines == []
+
+
+def test_interactive_second_send_in_one_turn_is_refused_at_send_time():
+    phi, psi, rng = _pair()
+
+    def twice(ctx):
+        ctx.send(Role.BOB, "scalar", 1.0)
+        ctx.send(Role.BOB, "scalar", 2.0)
+
+    recording = _Recording(wire.InprocTransport())
+    with pytest.raises(ProtocolViolation, match="alternation broken at message 1: alice sent twice"):
+        run_protocol(
+            Interactive(max_rounds=4), twice, twice, lambda ctx: None,
+            {Role.ALICE: phi, Role.BOB: psi}, rng, transport=recording,
+        )
+    assert len(recording.lines) == 1  # only the first send went over the wire
+
+
+@pytest.mark.parametrize("case", ["smp-multicopy", "smp-singlecopy", "oneway-pi0"])
+def test_tcp_collector_sees_exactly_the_counted_messages(case):
+    phi, psi, rng = _pair(seed=16, d=6, f=0.0)
+    setting, strategies, shared = {
+        "smp-multicopy": (Smp(), multicopy_smp_strategies(8), False),
+        "smp-singlecopy": (Smp(), singlecopy_smp_strategies(6, 2, 16), True),
+        "oneway-pi0": (OneWay(), pi0_oneway_strategies(3), False),
+    }[case]
+    server = wire.FrameCollectorServer().start()
+    try:
+        tp = wire.open_transport(f"tcp:{server.address}")
+        try:
+            tcp = _Recording(tp)
+            t = run_protocol(
+                setting, *strategies, {Role.ALICE: phi, Role.BOB: psi}, rng,
+                transport=tcp, shared_randomness=shared,
+            )
+        finally:
+            tp.close()
+    finally:
+        server.stop()
+
+    assert len(server.frames) == len(t.messages) == 2
+    for frame, m in zip(server.frames, t.messages):
+        assert (frame["round"], frame["from"], frame["to"], frame["type"]) == (
+            m.round, m.sender.value, m.receiver.value, m.mtype
+        )
+        assert np.array_equal(wire.decode_payload(frame["type"], frame["payload"]), m.payload)
+    assert sum(len(back.encode("utf-8")) for _, back in tcp.lines) == transcript_cost(t)[1]

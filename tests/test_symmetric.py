@@ -377,7 +377,7 @@ def test_basis_byte_estimate_bounds_its_build(dk, monkeypatch):
 
 
 @pytest.mark.parametrize("dk", [(6, 2), (9, 3), (16, 3)])
-def test_term_list_byte_estimate_bounds_its_build(dk, monkeypatch):
+def test_mp_channel_occupation_byte_estimate_bounds_its_build(dk, monkeypatch):
     # the measure-and-prepare channel on Sym^k, ladder tables built cold
     n = sym.sym_dimension(*dk)
     z = RngStream(n).rng.standard_normal((n, 2)) @ np.array([1.0, 1.0j])
