@@ -20,7 +20,6 @@ import io
 import json
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from importlib import resources
@@ -30,6 +29,7 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     PureState,
+    SUPPORT_TOL,
     complex_normals,
     haar_states,
     haar_unitaries,
@@ -128,8 +128,9 @@ class ExperimentResult:
         return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     if n < 1:
         raise ValueError("n must be >= 1")
     p = successes / n
@@ -193,39 +194,16 @@ def gen_problem1_instance(
     return build(theta, phi), build(theta2, psi)
 
 
-# Streams that one RngStream.prefetch derives together, rounded down to
-# whole trials (at least one). The table holds one block at a time, so this
-# bounds its memory, not the result.
-_STREAM_BLOCK = 768
-
-# Sub-paths of a trial stream that the two-party loops draw from: the
-# instance, then each party's measurement.
-_PARTY_STREAMS = ((0,), (1, est.STREAM_ALICE), (1, est.STREAM_BOB))
-
-
-def _prefetched_trials(
-    root: RngStream, prefix: tuple[int, ...], trials: int, streams
-) -> Iterator[int]:
-    """Trial indices 0..trials-1; before each block's first trial, prefetch
-    the seed words of root.child(*prefix, t, *sub) for each of its trials t
-    and each sub in streams."""
-    base = root.path + prefix
-    step = max(1, _STREAM_BLOCK // len(streams))
-    for lo in range(0, trials, step):
-        block = range(lo, min(lo + step, trials))
-        root.prefetch([base + (t,) + sub for t in block for sub in streams])
-        yield from block
-
-
 def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream) -> int:
     """Trials of the given case that the threshold decider gets right.
 
     Trial t draws the instance from root.child(case, t, 0) and the two POVM
-    outcomes from root.child(case, t, 1, STREAM_ALICE / STREAM_BOB); the
-    dipe-threshold experiment and scripts/calibrate_dipe.py both call this,
-    so the calibration replays the experiment's draws."""
+    outcomes from root.child(case, t, 1, STREAM_ALICE / STREAM_BOB), in
+    root.child(case).trials blocks; the dipe-threshold experiment and
+    scripts/calibrate_dipe.py both call this, so the calibration replays
+    the experiment's draws."""
     hits = 0
-    for t in _prefetched_trials(root, (case,), trials, _PARTY_STREAMS):
+    for t in root.child(case).trials(trials):
         tr = root.child(case, t)
         phi, psi = gen_dipe_instance(d, case, tr.child(0))
         u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
@@ -288,17 +266,17 @@ def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
 
 def _run_estimate(
     config: ExperimentConfig, root: RngStream, strategies, params: dict,
-    streams, shared_randomness: bool = False,
+    shared_randomness: bool = False,
 ) -> tuple[list, dict, bool]:
     """Run an SMP estimation protocol once per trial; params are the
-    estimator's parameters, reported in the summary.
-    streams are the sub-paths of trial t's stream (t,) that the state pair
-    and the strategies draw from."""
+    estimator's parameters, reported in the summary. Trial t draws its
+    state pair from root.child(t, 0) and runs the protocol on
+    root.child(t, 1), in root.trials blocks."""
     transport = open_transport(config.transport)
     alice, bob, referee = strategies
     rows = []
     try:
-        for t in _prefetched_trials(root, (), config.trials, streams):
+        for t in root.trials(config.trials):
             phi, psi = est.make_state_pair(config.d, config.f, root.child(t, 0))
             run_rng = root.child(t, 1)
             run = run_protocol(
@@ -329,19 +307,13 @@ def _run_estimate(
 
 def _run_estimate_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 8
-    return _run_estimate(config, root, multicopy_smp_strategies(k), {"k": k}, _PARTY_STREAMS)
+    return _run_estimate(config, root, multicopy_smp_strategies(k), {"k": k})
 
 
 def _run_estimate_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     strategies = singlecopy_smp_strategies(config.d, config.n_bases, config.m)
     params = {"n_bases": config.n_bases, "m": config.m}
-    # basis i: shared child i, and each party's shots from its own child i
-    streams = [(0,)] + [
-        (1, party, i)
-        for i in range(config.n_bases)
-        for party in (est.STREAM_SHARED, est.STREAM_ALICE, est.STREAM_BOB)
-    ]
-    return _run_estimate(config, root, strategies, params, streams, shared_randomness=True)
+    return _run_estimate(config, root, strategies, params, shared_randomness=True)
 
 
 def _record_case(summary: dict, case: int, hits: int, trials: int) -> float:
@@ -379,7 +351,7 @@ def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
     try:
         for case in (1, 2):
             hits = 0
-            for t in _prefetched_trials(root, (case,), config.trials, _PARTY_STREAMS):
+            for t in root.child(case).trials(config.trials):
                 tr = root.child(case, t)
                 phi, psi = gen_dipe_instance(config.d, case, tr.child(0))
                 run = run_protocol(
@@ -482,7 +454,7 @@ def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     sigma_m = I/D in the occupation basis, so one eigvalsh of Y gives
     both statistics: the slack lambda_min(Y) - floor/D, and
     Dmax(sigma_m || Y) = -log(D lambda_min(Y)), +inf when lambda_min is at
-    most 1e-9 (linalg.dmax's support test). Wherever the budget admits
+    most SUPPORT_TOL (linalg.dmax's support test). Wherever the budget admits
     the lifts, the channel is also checked against rho_u (_mp_anchor_dev).
     """
     d = config.d
@@ -499,13 +471,13 @@ def _run_mp_bound_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     floor = math.exp(-(k**2) / d)
     worst_eig = math.inf
     worst_excess = -math.inf
-    for t in range(config.trials):
+    for t in root.trials(config.trials):
         g = root.child(t).rng
         z = haar_states(n, 1, g)[0]
         out = sym.mp_channel_occupation(np.outer(z, z.conj()), d, k)
         lam = float(np.linalg.eigvalsh(out.matrix)[0])
         worst_eig = min(worst_eig, lam - floor / n)
-        excess = math.inf if lam <= 1e-9 else -math.log(n * lam) - k**2 / d
+        excess = math.inf if lam <= SUPPORT_TOL else -math.log(n * lam) - k**2 / d
         worst_excess = max(worst_excess, excess)
     summary = {
         "min_eig_slack": worst_eig, "floor_over_D": floor / n, "max_dmax_excess": worst_excess, **anchor, "k": k,
@@ -586,7 +558,7 @@ def _run_problem1(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
     ok = True
     for case in (1, 2):
         hits = 0
-        for t in _prefetched_trials(root, (case,), config.trials, _PARTY_STREAMS):
+        for t in root.child(case).trials(config.trials):
             tr = root.child(case, t)
             a, b = gen_problem1_instance(config.d, config.eps, case, tr.child(0))
             rec = est.multicopy_estimate(a, b, k, tr.child(1))

@@ -23,6 +23,7 @@ __all__ = [
     "NORM_TOL",
     "HERM_TOL",
     "PSD_TOL",
+    "SUPPORT_TOL",
     "PureState",
     "DensityMatrix",
     "is_hermitian",
@@ -37,10 +38,12 @@ __all__ = [
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
+# dmax's support test: eigenvalues and leaked weight at most this count as 0
+SUPPORT_TOL = 1e-9
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+def is_hermitian(m: np.ndarray) -> bool:
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= HERM_TOL
 
 
 def _is_psd(m: np.ndarray, tol: float) -> bool:
@@ -194,20 +197,20 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(ev)))
 
 
-def dmax(rho: DensityMatrix, sigma: DensityMatrix, support_tol: float = 1e-9) -> float:
+def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Max-relative entropy: smallest lam with rho <= e^lam sigma.
 
     Returns +inf when the support of rho is not contained in the support
-    of sigma (tested at `support_tol`).
+    of sigma (tested at SUPPORT_TOL).
     """
     _check_same_dim(rho, sigma)
     w, v = np.linalg.eigh(sigma.matrix)
-    on = w > support_tol
+    on = w > SUPPORT_TOL
     if not np.all(on):
         # weight of rho outside sigma's support
         v_off = v[:, ~on]
         leak = float(np.trace(v_off.conj().T @ rho.matrix @ v_off).real)
-        if leak > support_tol:
+        if leak > SUPPORT_TOL:
             return math.inf
     v_on = v[:, on]
     inv_sqrt = v_on / np.sqrt(w[on])

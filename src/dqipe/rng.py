@@ -10,23 +10,28 @@ A stream builds its Generator on the first draw: deriving a child only to
 fork it further, or handing one to a party that never draws, costs no
 SeedSequence hashing.
 
-Building one SeedSequence and its state costs about 25 us, so trial loops call
-`prefetch` on the root stream: it derives the PCG64 seed words of a whole
-block of paths in one numpy pass (`seed_words`, a port of SeedSequence's
-mixing) into a table that every descendant of the root shares. A stream
-whose path is in the table seeds its PCG64 from those words, which are the
-bits SeedSequence(seed, spawn_key=path) would give; any other stream, and
-any path with an entry of 2**32 or more, falls back to SeedSequence itself.
-So the table can only make a stream cheaper to build, never different.
+Building one SeedSequence and its state costs about 25 us, so trial loops
+iterate `stream.trials(n)`, which hands out trials in blocks of TRIAL_BLOCK
+and shares the current block with every stream of the tree. The first
+stream of the block to draw at base + (t,) + sub derives the PCG64 seed
+words of that sub for every trial of the block in one numpy pass
+(`seed_words`, a port of SeedSequence's mixing). Those words are the bits
+SeedSequence(seed, spawn_key=path) would give; any other stream, and any
+path with an entry of 2**32 or more, builds SeedSequence itself. So the
+block can only make a stream cheaper to build, never different.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["RngStream", "seed_words"]
+__all__ = ["RngStream", "TRIAL_BLOCK", "seed_words"]
+
+# Trials per block of RngStream.trials: it amortises seed_words' fixed cost
+# of about 270 us per call. The result does not depend on it.
+TRIAL_BLOCK = 768
 
 # numpy.random.SeedSequence's constants (O'Neill's seed_seq_fe, 4-word pool)
 _POOL_SIZE = 4
@@ -76,22 +81,17 @@ def seed_words(seed: int, paths: list[tuple[int, ...]]) -> np.ndarray:
 
     SeedSequence hashes its entropy words into a 4-word pool, then reads the
     state off the pool. Here every path is one row, and each step of that
-    mixing is one uint32 array operation over all rows. Path entries must
-    lie below 2**32 (one entropy word each); OverflowError otherwise."""
+    mixing is one uint32 array operation over all rows. The paths are one
+    or more of a single length, with entries below 2**32 (one entropy word
+    each); OverflowError otherwise."""
     run = _uint32_words(seed)
-    extra = max(len(run) - _POOL_SIZE, 0)
     n = len(paths)
-    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=n)
-    words = np.fromiter(
-        itertools.chain.from_iterable(paths), dtype=np.uint32, count=int(lengths.sum())
-    )
     # row i: the entropy words past the pool, the seed's beyond its fourth
-    # and then path i, zero-padded to the longest row
-    tail = np.zeros((n, extra + int(lengths.max(initial=0))), dtype=np.uint32)
-    tail[:, :extra] = run[_POOL_SIZE:]
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    tail[np.repeat(np.arange(n), lengths), extra + np.arange(words.size) - starts] = words
-    lengths += extra
+    # and then path i
+    tail = np.hstack((
+        np.full((n, max(len(run) - _POOL_SIZE, 0)), run[_POOL_SIZE:], dtype=np.uint32),
+        np.array(paths, dtype=np.uint32).reshape(n, -1),
+    ))
     # 4 hashes fill the pool, 12 mix it, and 4 per word past the pool
     hashes = _consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * tail.shape[1])
     # The seed's first words fill the pool, zero-padded when a spawn key
@@ -107,12 +107,10 @@ def seed_words(seed: int, paths: list[tuple[int, ...]]) -> np.ndarray:
                 pool[dst : dst + 1] = _mix(pool[dst : dst + 1], hashed)
                 at += 1
     pool = np.broadcast_to(pool, (n, _POOL_SIZE))
-    # each word past the pool is mixed into every pool word; shorter rows stop
+    # each word past the pool is mixed into every pool word
     for j in range(tail.shape[1]):
-        mixed = _mix(pool, _hash(tail[:, j : j + 1], hashes[at : at + _POOL_SIZE + 1]))
+        pool = _mix(pool, _hash(tail[:, j : j + 1], hashes[at : at + _POOL_SIZE + 1]))
         at += _POOL_SIZE
-        done = lengths <= j
-        pool = np.where(done[:, None], pool, mixed) if done.any() else mixed
     # generate_state(4, uint64): 8 words cycled from the pool, read as
     # little-endian pairs
     state = _hash(np.tile(pool, 2), _consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
@@ -122,8 +120,9 @@ def seed_words(seed: int, paths: list[tuple[int, ...]]) -> np.ndarray:
 class _SeedWords:
     """Hands PCG64 the seed words that seed_words computed for its path.
 
-    PCG64 takes it only as a numpy ISeedSequence; prefetch registers it as
-    one, so that importing this module still does not import numpy.random."""
+    PCG64 takes it only as a numpy ISeedSequence; RngStream.trials registers
+    it as one, so that importing this module still does not import
+    numpy.random."""
 
     __slots__ = ("words",)
 
@@ -133,14 +132,19 @@ class _SeedWords:
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 asks for exactly this; anything else would need the pool
         if n_words != _POOL_SIZE or dtype is not np.uint64:
-            raise ValueError("prefetched seed words serve PCG64 only: 4 uint64 words")
+            raise ValueError("a block's seed words serve PCG64 only: 4 uint64 words")
         return self.words
+
+
+# The block of a tree that no trials loop has run on: (base path, first
+# trial, end, rows). Its range of trials is empty.
+_NO_BLOCK = ((), 0, 0, {})
 
 
 class RngStream:
     """A seeded, forkable random stream backed by numpy's SeedSequence."""
 
-    __slots__ = ("seed", "path", "_gen", "_table", "__weakref__")
+    __slots__ = ("seed", "path", "_gen", "_block", "__weakref__")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -151,37 +155,47 @@ class RngStream:
                 f"seed and path must be non-negative, got {self.seed} and {self.path}"
             )
         self._gen = None
-        # full path -> PCG64 seed words; child() hands this dict on, so a
-        # root and all its descendants share one
-        self._table = {}
+        # [the current block]; child() hands this list on, so a root and all
+        # its descendants share one
+        self._block = [_NO_BLOCK]
 
     def child(self, *path: int) -> "RngStream":
         """Derive an independent stream at a sub-path."""
         stream = RngStream(self.seed, self.path + path)
-        stream._table = self._table
+        stream._block = self._block
         return stream
 
-    def prefetch(self, paths: list[tuple[int, ...]]) -> None:
-        """Replace the shared table with the seed words of these full paths.
+    def trials(self, n: int) -> Iterator[int]:
+        """Trial indices 0..n-1 for a loop whose trial t draws from
+        child(t, ...) streams.
 
-        Paths with an entry of 2**32 or more are left out; they fall back to
-        SeedSequence like any other path missing from the table."""
-        if max(itertools.chain.from_iterable(paths), default=0) > _MASK32:
-            paths = [p for p in paths if max(p, default=0) <= _MASK32]
+        Trials come in blocks of TRIAL_BLOCK. At its first trial a block
+        becomes the tree's, in place of any other; then the first stream at
+        child(t, *sub) to draw derives the seed words of child(u, *sub) for
+        every trial u of the block."""
         np.random.bit_generator.ISeedSequence.register(_SeedWords)
-        self._table.clear()
-        self._table.update(zip(paths, seed_words(self.seed, paths)))
+        for lo in range(0, n, TRIAL_BLOCK):
+            hi = min(lo + TRIAL_BLOCK, n)
+            self._block[0] = (self.path, lo, hi, {})
+            yield from range(lo, hi)
 
     @property
     def rng(self) -> np.random.Generator:
         gen = self._gen
         if gen is None:
-            # the same bits as default_rng(SeedSequence(seed, spawn_key=path))
-            words = self._table.get(self.path)
-            seq = (
-                np.random.SeedSequence(self.seed, spawn_key=self.path)
-                if words is None else _SeedWords(words)
-            )
+            # the same bits as default_rng(SeedSequence(seed, spawn_key=path)),
+            # from the block's rows when the path is base + (t,) + sub for a
+            # trial t of the tree's block
+            path = self.path
+            base, lo, hi, rows = self._block[0]
+            n = len(base)
+            if len(path) > n and lo <= path[n] < hi and path[:n] == base and max(path) <= _MASK32:
+                sub = path[n + 1 :]
+                if sub not in rows:
+                    rows[sub] = seed_words(self.seed, [base + (t,) + sub for t in range(lo, hi)])
+                seq = _SeedWords(rows[sub][path[n] - lo])
+            else:
+                seq = np.random.SeedSequence(self.seed, spawn_key=path)
             gen = self._gen = np.random.Generator(np.random.PCG64(seq))
         return gen
 

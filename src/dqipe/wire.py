@@ -12,8 +12,9 @@ Every number on the wire is finite: `encode_frame` refuses NaN and
 infinities, and `decode_frame` refuses the literals NaN, Infinity and
 -Infinity and any float literal that overflows (such as 1e400);
 `decode_payload` refuses a scalar that is not a finite float and a
-state_vector that is not a list of [re, im] pairs of floats (such as an
-integer 10**400 or the string "nan"), all with WireError.
+state_vector that is not a list of [re, im] pairs of finite floats (such
+as an integer 10**400, the string "nan" or float("nan")), all with
+WireError.
 
 Each frame costs one encode and one validating decode (by the protocol
 harness). Both transports hand the line back unchanged: the in-process one
@@ -63,14 +64,14 @@ def encode_payload(ptype: str, payload) -> object:
 
 def decode_payload(ptype: str, payload) -> object:
     if ptype == "state_vector":
-        # the encoder's rule: a list of [re, im] pairs of floats
+        # the encoder's rule: a list of [re, im] pairs of finite floats
         try:
             flat = list(itertools.chain.from_iterable(payload))
             pairs = type(payload) is list and set(map(len, payload)) <= {2}
         except TypeError:  # not a list of sized entries
             pairs = False
-        if not pairs or not set(map(type, flat)) <= {float}:
-            raise WireError("bad state_vector payload: expected a list of [re, im] pairs of floats")
+        if not pairs or not set(map(type, flat)) <= {float} or not all(map(math.isfinite, flat)):
+            raise WireError("bad state_vector payload: expected a list of [re, im] pairs of finite floats")
         # float64 (re, im) pairs are complex128 in memory, so every bit is kept
         return np.fromiter(flat, dtype=np.float64, count=len(flat)).view(complex)
     if ptype == "outcomes":

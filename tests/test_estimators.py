@@ -198,7 +198,7 @@ def test_shared_bases_are_memoised_read_only_per_stream_object():
 
 def test_shared_bases_memo_keeps_no_stream(monkeypatch):
     # keyed by value, the memo lets the trial's shared stream, and with it
-    # the prefetch table it shares with its root, be collected
+    # the trial block it shares with its root, be collected
     refs = []
     memo = est._shared_bases
 

@@ -115,7 +115,7 @@ def test_calibration_replays_dipe_threshold_draws(seed):
         assert hits[case] == round(summary[f"success_rate_case{case}"] * trials)
 
 
-# --- stream prefetch ---
+# --- stream blocks ---
 
 
 _PREFETCHED_LOOPS = [
@@ -127,42 +127,62 @@ _PREFETCHED_LOOPS = [
 ]
 
 
-@pytest.mark.parametrize("seed", [3, 2**64 + 1])
-@pytest.mark.parametrize("experiment,overrides", _PREFETCHED_LOOPS)
-def test_stream_prefetch_changes_no_output(experiment, overrides, seed, monkeypatch):
-    """The prefetch table only makes streams cheaper: with every lookup
-    missing, each loop gives the same document; with the table, every
-    stream the loop builds is found in it."""
-    built = {"table": 0, "seed_sequence": 0}
+def _streams_with_and_without_blocks(cfg, monkeypatch):
+    """cfg's document with RngStream.trials blocks and without them, and how
+    many streams each run built from a block and from SeedSequence."""
+    built = []
 
     class TableWords(rng_module._SeedWords):
         def __init__(self, words):
-            built["table"] += 1
+            built[-1]["table"] += 1
             super().__init__(words)
 
     class CountedSeedSequence(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
-            built["seed_sequence"] += 1
+            built[-1]["seed_sequence"] += 1
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(rng_module, "_SeedWords", TableWords)
     monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
-    # blocks of 20 streams: 20 trials end in a partial block
-    monkeypatch.setattr(ex, "_STREAM_BLOCK", 20)
-    cfg = ex.ExperimentConfig(experiment, trials=20, seed=seed, **overrides)
+    # blocks of 7 trials: 20 trials end in a partial block
+    monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 7)
 
     def document():
+        built.append({"table": 0, "seed_sequence": 0})
         doc = json.loads(ex.emit_result(ex.run_experiment(cfg)))
         del doc["wall_clock"]
         return doc
 
-    with_table = document()
-    assert built["table"] > 0 and built["seed_sequence"] == 0
+    with_blocks = document()
     with monkeypatch.context() as m:
-        m.setattr(rng_module.RngStream, "prefetch", lambda self, paths: None)
-        built["table"] = 0
-        assert document() == with_table
-    assert built["table"] == 0 and built["seed_sequence"] > 0
+        # a plain range sets no block, so every stream builds its SeedSequence
+        m.setattr(rng_module.RngStream, "trials", lambda self, n: iter(range(n)))
+        without = document()
+    return with_blocks, without, built
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 + 1])
+@pytest.mark.parametrize("experiment,overrides", _PREFETCHED_LOOPS)
+def test_stream_prefetch_changes_no_output(experiment, overrides, seed, monkeypatch):
+    """Blocks only make streams cheaper: without them each loop gives the
+    same document; with them, every stream the loop builds comes from its
+    block."""
+    cfg = ex.ExperimentConfig(experiment, trials=20, seed=seed, **overrides)
+    with_blocks, without, (blocked, plain) = _streams_with_and_without_blocks(cfg, monkeypatch)
+    assert blocked["table"] > 0 and blocked["seed_sequence"] == 0
+    assert without == with_blocks
+    assert plain["table"] == 0 and plain["seed_sequence"] > 0
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 + 1])
+def test_mp_bound_check_blocks_change_no_output(seed, monkeypatch):
+    # the anchor stream, child(trials), lies past the loop's blocks, so it
+    # builds its SeedSequence either way
+    cfg = ex.ExperimentConfig("mp-bound-check", trials=20, seed=seed)
+    with_blocks, without, (blocked, plain) = _streams_with_and_without_blocks(cfg, monkeypatch)
+    assert "anchor_dev" in with_blocks["summary"] and blocked["table"] == cfg.trials
+    assert without == with_blocks
+    assert plain["table"] == 0 and plain["seed_sequence"] > blocked["seed_sequence"]
 
 
 # --- batch kernels ---
@@ -409,6 +429,18 @@ def test_multicopy_error_p90_decreases_in_k():
 
 
 # --- cli ---
+
+
+def test_readme_cli_table_names_every_experiment_in_order():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| name | what it does |") + 2  # past the header and its rule
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip())
+    assert tuple(rows) == tuple(f"`{name}`" for name in ex.EXPERIMENTS)
 
 
 def test_cli_pass_exit_code(tmp_path, capsys):

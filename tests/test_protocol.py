@@ -73,7 +73,8 @@ def test_bad_state_vector_payloads_rejected():
         wire.encode_payload("state_vector", np.eye(2))
     for bad in ([[1.0, 2.0, 3.0]], [[None, 1.0]], [["1.0", "0.0"]], 1.0,
                 [["nan"]], [["1e400"]], [[1.0]], [[True, False]], [["1+2j"]],
-                [[0.5, 0.0], [1, 0.0]], [[0.5, 0.0], 1.0], ["ab"], {"0": [0.5, 0.0]}):
+                [[0.5, 0.0], [1, 0.0]], [[0.5, 0.0], 1.0], ["ab"], {"0": [0.5, 0.0]},
+                [[math.nan, 0.0], [math.inf, 1.0]], [[0.5, math.inf]], [[-math.inf, 0.0]]):
         with pytest.raises(wire.WireError, match="bad state_vector payload"):
             wire.decode_payload("state_vector", bad)
 

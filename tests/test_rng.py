@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqipe import rng as rng_module
 from dqipe.rng import RngStream, seed_words
 
 
@@ -74,6 +75,14 @@ def test_negative_seed_or_path_rejected_at_construction():
 _EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
 
 
+def _from_block(stream):
+    return not isinstance(stream.rng.bit_generator.seed_seq, np.random.SeedSequence)
+
+
+def _seed_sequence_draws(seed, path, n):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path)).random(n)
+
+
 @given(
     seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(min_value=0, max_value=2**200 - 1)),
     paths=st.lists(
@@ -84,39 +93,89 @@ _EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
 @settings(max_examples=200, deadline=None)
 def test_seed_words_match_seed_sequence(seed, paths):
     # a port of numpy's SeedSequence mixing; if numpy changes its algorithm
-    # this fails, and the prefetch table would stop giving numpy's bits
-    for path, words in zip(paths, seed_words(seed, paths)):
-        expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
-        assert np.array_equal(words, expected)
-    root = RngStream(seed)
-    root.prefetch(paths)
+    # this fails, and trial blocks would stop giving numpy's bits
+    for length in {len(p) for p in paths}:
+        same = [p for p in paths if len(p) == length]
+        for path, words in zip(same, seed_words(seed, same)):
+            expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+            assert np.array_equal(words, expected)
+    # each path as a loop's base and as the sub-path of its trials' streams
     for path in paths:
-        gen = root.child(*path).rng
-        assert not isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence)
-        expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
-        assert np.array_equal(gen.random(4), expected.random(4))
+        root = RngStream(seed, path)
+        for t in root.trials(3):
+            stream = root.child(t, *path)
+            assert _from_block(stream)
+            assert np.array_equal(stream.rng.random(4), _seed_sequence_draws(seed, stream.path, 4))
 
 
 def test_path_entries_past_32_bits_fall_back_to_seed_sequence():
     with pytest.raises(OverflowError):
         seed_words(2**64 + 5, [(7, 2**40)])
     root = RngStream(2**64 + 5)
-    root.prefetch([(7, 2**40), (7, 1)])
-    for path, prefetched in (((7, 2**40), False), ((7, 1), True)):
-        gen = root.child(*path).rng
-        assert isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence) != prefetched
-        expected = np.random.default_rng(np.random.SeedSequence(2**64 + 5, spawn_key=path))
-        assert np.array_equal(gen.random(8), expected.random(8))
+    for t in root.trials(8):
+        for path, from_block in (((t, 2**40), False), ((t, 1), True)):
+            stream = root.child(*path)
+            assert _from_block(stream) == from_block
+            assert np.array_equal(stream.rng.random(8), _seed_sequence_draws(2**64 + 5, path, 8))
+    # a loop whose own path is past 32 bits
+    wide = RngStream(2**64 + 5, (2**40,))
+    for t in wide.trials(2):
+        stream = wide.child(t, 1)
+        assert not _from_block(stream)
+        assert np.array_equal(stream.rng.random(8), _seed_sequence_draws(2**64 + 5, (2**40, t, 1), 8))
 
 
-def test_prefetch_keeps_one_block_shared_by_all_descendants():
+def test_trials_block_is_shared_by_all_descendants(monkeypatch):
+    monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 2)
     root = RngStream(3)
     trial = root.child(0)  # derived before the block, it still sees it
-    root.prefetch([(0, 1)])
-    assert not isinstance(trial.child(1).rng.bit_generator.seed_seq, np.random.SeedSequence)
-    root.prefetch([(1, 1)])
-    # the earlier block is gone, so (0, 1) builds its own SeedSequence
-    assert isinstance(root.child(0, 1).rng.bit_generator.seed_seq, np.random.SeedSequence)
-    assert np.array_equal(
-        root.child(0, 1).rng.random(4), RngStream(3, (0, 1)).rng.random(4)
-    )
+    loop = root.trials(4)
+    assert next(loop) == 0
+    assert _from_block(trial.child(1))
+    assert [next(loop), next(loop)] == [1, 2]
+    # the block of trials 0 and 1 is gone, so (0, 1) builds its own
+    # SeedSequence; trial 3 is in the current block before the loop gets there
+    stale = root.child(0, 1)
+    assert not _from_block(stale) and _from_block(root.child(3, 1))
+    assert np.array_equal(stale.rng.random(4), RngStream(3, (0, 1)).rng.random(4))
+    # the loop's own stream, and other trees, never read the block
+    assert not _from_block(root) and not _from_block(RngStream(3).child(2, 1))
+    assert list(loop) == [3]
+
+
+def _loop_draws(stream, t):
+    return [stream.child(t, *sub).rng.random(3) for sub in ((0,), (1, 5), (1, 6, 2))]
+
+
+def test_interleaved_trial_loops_draw_as_one_loop_at_a_time(monkeypatch):
+    # each loop's block replaces the other's, so some streams build their
+    # SeedSequence; the bits are the same either way
+    monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 3)
+    alone = []
+    for case in (1, 2):
+        stream = RngStream(9).child(case)
+        alone.append([_loop_draws(stream, t) for t in stream.trials(8)])
+    root = RngStream(9)
+    first, second = root.child(1), root.child(2)
+    together = ([], [])
+    for s, t in zip(first.trials(8), second.trials(8)):
+        together[0].append(_loop_draws(first, s))
+        together[1].append(_loop_draws(second, t))
+    for case in (1, 2):
+        for t in range(8):
+            assert np.array_equal(alone[case - 1][t][0], _seed_sequence_draws(9, (case, t, 0), 3))
+            for a, b in zip(alone[case - 1][t], together[case - 1][t]):
+                assert np.array_equal(a, b)
+
+
+def test_partial_last_block_matches_seed_sequence(monkeypatch):
+    # 20 trials in blocks of 7: the last block holds 6
+    monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 7)
+    root = RngStream(2**64 + 1, (4,))
+    seen = []
+    for t in root.trials(20):
+        stream = root.child(t, 1, 2)
+        assert _from_block(stream)
+        assert np.array_equal(stream.rng.random(3), _seed_sequence_draws(2**64 + 1, (4, t, 1, 2), 3))
+        seen.append(t)
+    assert seen == list(range(20))
