@@ -4,10 +4,10 @@
 
 Exit codes: 0 when the experiment's pass criterion holds, 1 when it
 fails, 2 on usage errors and on errors while running (a bad parameter, a
-dense-algebra budget exceeded, a transport that cannot connect), reported
-as one "dqipe: ..." line on stderr. DQIPE_SEED provides a default seed; a JSON
-config file given with --config supplies defaults that explicit flags
-override.
+dense-algebra budget exceeded, a transport that cannot connect, memory run
+out), reported as one "dqipe: ..." line on stderr. DQIPE_SEED provides a
+default seed; a JSON config file given with --config supplies defaults
+that explicit flags override.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         # ValueError covers DenseBudgetError and WireError; OSError a refused
-        # connection or an unwritable --out
+        # connection or an unwritable --out; MemoryError a run too large for RAM
         result = run_experiment(config)
         text = emit_result(result)
         if config.out:
@@ -82,8 +82,9 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError) as exc:
-        print(f"dqipe: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError says what it could not allocate; a bare one is empty
+        print(f"dqipe: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     print(
         f"{config.experiment}: {'PASS' if result.passed else 'FAIL'}"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import (
     PureState, DensityMatrix, overlap2, trace_inner, haar_states, orthogonal_units,
-    sample_haar_state, sample_haar_unitary,
+    row_blocks, sample_haar_state, sample_haar_unitary,
 )
 from .rng import RngStream
 from .symmetric import standard_povm_sample
@@ -379,8 +379,12 @@ def state_pairs(d: int, f: float, n: int, g: np.random.Generator) -> tuple[np.nd
     """n Haar random pairs (phi, psi) with |<phi|psi>|^2 = f, as two (n, d)
     arrays: psi = sqrt(f) phi + sqrt(1 - f) z, z Haar orthogonal to phi."""
     phi = haar_states(d, n, g)
-    z = orthogonal_units(phi, g)
-    return phi, math.sqrt(f) * phi + math.sqrt(1.0 - f) * z
+    psi = orthogonal_units(phi, g)
+    psi *= math.sqrt(1.0 - f)
+    # a sum commutes: these are the bits of sqrt(f) phi + sqrt(1 - f) z
+    for psi_rows, phi_rows in row_blocks(psi, phi):
+        psi_rows += math.sqrt(f) * phi_rows
+    return phi, psi
 
 
 def make_state_pair(d: int, f: float, rng: RngStream) -> tuple[PureState, PureState]:

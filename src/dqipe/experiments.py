@@ -218,34 +218,58 @@ def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream)
 # and the protocol strategies call at n=1 (see linalg), so the variance
 # gates test the protocol's own arithmetic.
 
-# Trials per post-draw block of _singlecopy_w_batch. LAPACK factors each
-# matrix on its own, so the result does not depend on it; it only bounds
-# the QR working set.
+# Trials per block of _singlecopy_w_batch: its imaginary Gaussian parts, QR
+# and Born probabilities, and then its multinomial call. LAPACK factors
+# each matrix on its own, so no bit depends on it; it sets the kernel's
+# working set beside the n-row arrays.
 _SINGLECOPY_BLOCK = 2048
 
 
 def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator) -> np.ndarray:
     """Cross-collision estimates of n trials in one shared Haar basis each.
 
-    All Gaussians are drawn first. Then each block makes one multinomial
-    call on its (trial, party, outcome) probabilities, which numpy walks in
-    C order: trial i's Alice counts, then its Bob counts, as a per-trial
-    loop would draw them."""
+    All Gaussians are drawn first: the state pairs, all real parts of the
+    Ginibre matrices, then their imaginary parts block by block, each block
+    factored as it arrives, so that only the Born probabilities are kept.
+    Then each block makes one multinomial call on its (trial, party,
+    outcome) probabilities, which numpy walks in C order: trial i's Alice
+    counts, then its Bob counts, as a per-trial loop would draw them.
+
+    Peak bytes, from the shapes: at most 8nd^2 + 48nd + 8n held (the real
+    parts, the pair, the probabilities), plus 80bd^2 + 64bd for one block
+    of b = min(n, _SINGLECOPY_BLOCK) trials (its Gaussians, QR and Born
+    step) and 16 KiB of fixed allocations; 1.48 kB a trial at d=8,
+    n=20000."""
     phi, psi = est.state_pairs(d, f, n, g)
-    z = complex_normals((n, d, d), g)
-    states = np.stack([phi, psi], axis=1)
+    real = g.standard_normal((n, d, d))
+    probs = np.empty((n, 2, d))
+    for lo in range(0, n, _SINGLECOPY_BLOCK):
+        blk = slice(lo, lo + _SINGLECOPY_BLOCK)
+        z = complex_normals(real[blk].shape, g, real[blk])
+        states = np.stack([phi[blk], psi[blk]], axis=1)
+        probs[blk] = est.pure_born_probabilities(haar_unitaries(z), states)
+    del phi, psi, real
     w = np.empty(n)
     for lo in range(0, n, _SINGLECOPY_BLOCK):
         blk = slice(lo, lo + _SINGLECOPY_BLOCK)
-        probs = est.pure_born_probabilities(haar_unitaries(z[blk]), states[blk])
-        counts = est.born_counts(probs, m, g)
+        counts = est.born_counts(probs[blk], m, g)
         w[blk] = (d + 1) * est.collision_fractions(counts[:, 0], counts[:, 1]) - 1.0
     return w
 
 
 def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator) -> np.ndarray:
+    """Multi-copy estimates of n trials: state pairs, then Alice's POVM
+    outcomes, then Bob's.
+
+    Peak bytes, from the shapes: at most 56nd + 56n + 32d ROW_BLOCK. The
+    first term is reached while Bob's Gaussians are drawn: psi, u and v's
+    complex (n, d) arrays and one (n, d) float draw (phi is released
+    before). The second covers the per-row Beta, phase and coefficient
+    arrays, the third the row updates' temporaries; 530 B a trial at d=8,
+    n=20000."""
     phi, psi = est.state_pairs(d, f, n, g)
     u = sym.povm_samples(phi, k, g)
+    del phi
     v = sym.povm_samples(psi, k, g)
     return est.multicopy_constants(d, k).estimate(squared_overlaps(u, v))
 

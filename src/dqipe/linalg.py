@@ -121,11 +121,31 @@ def _check_same_dim(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def complex_normals(shape, g: np.random.Generator) -> np.ndarray:
+# Rows per step of an in-place update over an (n, d) array: a broadcast
+# temporary then holds one block of rows, not n. Each row's arithmetic is
+# the same in any block, so no bit depends on it.
+ROW_BLOCK = 2048
+
+
+def row_blocks(*arrays):
+    """Views of ROW_BLOCK leading rows of each array at a time, as tuples
+    for a loop of in-place updates (the arrays themselves when they are no
+    longer)."""
+    n = len(arrays[0])
+    if n <= ROW_BLOCK:
+        return (arrays,)
+    return [tuple(a[lo : lo + ROW_BLOCK] for a in arrays) for lo in range(0, n, ROW_BLOCK)]
+
+
+def complex_normals(shape, g: np.random.Generator, real: np.ndarray | None = None) -> np.ndarray:
     """Standard complex Gaussians of the given shape: all real parts, then
-    all imaginary parts."""
+    all imaginary parts.
+
+    Block form: given `real`, the real parts of these rows taken from one
+    earlier draw for all rows, it draws only the imaginary parts. Drawing
+    the blocks in row order then gives the bits of one call."""
     z = np.empty(shape, dtype=complex)
-    z.real = g.standard_normal(shape)
+    z.real = g.standard_normal(shape) if real is None else real
     z.imag = g.standard_normal(shape)
     return z
 
@@ -144,7 +164,8 @@ def haar_states(d: int, n: int, g: np.random.Generator) -> np.ndarray:
 def orthogonal_units(states: np.ndarray, g: np.random.Generator) -> np.ndarray:
     """Row i: a Haar random unit vector orthogonal to the unit vector states[i]."""
     z = complex_normals(states.shape, g)
-    z -= states * np.vecdot(states, z)[:, None]
+    for z_rows, s_rows, c_rows in row_blocks(z, states, np.vecdot(states, z)):
+        z_rows -= s_rows * c_rows[:, None]
     return _unit_rows(z)
 
 

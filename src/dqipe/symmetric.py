@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, orthogonal_units
+from .linalg import PureState, DensityMatrix, orthogonal_units, row_blocks
 from .rng import RngStream
 
 __all__ = [
@@ -193,7 +193,9 @@ def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarr
     theta = g.uniform(0.0, 2.0 * math.pi, size=n)
     u = orthogonal_units(states, g)
     u *= np.sqrt(1.0 - a2)[:, None]
-    u += (np.sqrt(a2) * np.exp(1j * theta))[:, None] * states
+    coef = np.sqrt(a2) * np.exp(1j * theta)
+    for u_rows, c_rows, s_rows in row_blocks(u, coef, states):
+        u_rows += c_rows[:, None] * s_rows
     return u
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -273,11 +274,14 @@ class _RowReplay:
         return draw
 
 
-@pytest.mark.parametrize("d,k,f", [(2, 1, 0.0), (8, 16, 0.5), (33, 5, 1.0)])
-def test_multicopy_batch_rows_equal_the_protocol_steps(d, k, f):
+@pytest.mark.parametrize(
+    "d,k,f,n",
+    [(2, 1, 0.0, 40), (8, 16, 0.5, 40), (33, 5, 1.0, 40), (4, 3, 0.7, linalg.ROW_BLOCK + 1)],
+    ids=["2-1-0.0", "8-16-0.5", "33-5-1.0", "above-one-row-block"],
+)
+def test_multicopy_batch_rows_equal_the_protocol_steps(d, k, f, n):
     # each row of the kernel, replayed through the n=1 state pair, POVM and
     # referee calls that the direct API and the strategies make
-    n = 40
     rec = _Recorder(np.random.default_rng([d, k]))
     w = ex._multicopy_w_batch(d, k, f, n, rec)
     steps = np.empty(n)
@@ -288,6 +292,44 @@ def test_multicopy_batch_rows_equal_the_protocol_steps(d, k, f):
         v = sym.standard_povm_sample(psi, k, stream)
         steps[i] = est.multicopy_referee(u, v, k)[0]
     assert np.array_equal(w.view(np.int64), steps.view(np.int64))
+
+
+# sha256 of w's bytes from each kernel at d=8, n = 3 blocks + 1 row, taken
+# before the kernels worked in blocks: blocking may change no bit
+_PINNED_KERNELS = {
+    "multicopy": "762179c635b5080ac8efadeb8d4c387704e7f3047b3ce242441a50aa120f6e9b",
+    "singlecopy": "803689b8642a7b55bce78f7da3501cf6dd501d27fa93e208e053206acc825f94",
+}
+
+
+def test_batch_kernels_pinned_across_blocks():
+    n = 6145
+    assert n == 3 * linalg.ROW_BLOCK + 1 == 3 * ex._SINGLECOPY_BLOCK + 1
+    ws = {
+        "multicopy": ex._multicopy_w_batch(8, 16, 0.5, n, np.random.default_rng([8, n])),
+        "singlecopy": ex._singlecopy_w_batch(8, 32, 0.5, n, np.random.default_rng([8, n])),
+    }
+    assert {key: hashlib.sha256(w.tobytes()).hexdigest() for key, w in ws.items()} == _PINNED_KERNELS
+
+
+def _traced_peak(kernel, d, param, f, n):
+    kernel(d, param, f, 10, np.random.default_rng(0))  # fills the kernels' caches
+    tracemalloc.start()
+    try:
+        kernel(d, param, f, n, np.random.default_rng(1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_kernels_peak_under_their_stated_bytes():
+    # the bounds of the kernels' docstrings; whole-run temporaries break them
+    n, d = 20_000, 8
+    b = min(n, ex._SINGLECOPY_BLOCK)
+    multicopy = 56 * n * d + 56 * n + 32 * d * linalg.ROW_BLOCK
+    singlecopy = 8 * n * d * d + 48 * n * d + 8 * n + 80 * b * d * d + 64 * b * d + 16 * 1024
+    assert _traced_peak(ex._multicopy_w_batch, d, 16, 0.5, n) <= multicopy
+    assert _traced_peak(ex._singlecopy_w_batch, d, 32, 0.5, n) <= singlecopy
 
 
 def test_variance_check_singlecopy_summary_pinned():
@@ -517,6 +559,26 @@ def test_cli_run_errors_exit_2_with_one_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("dqipe: ")
+
+
+_NUMPY_OOM = "Unable to allocate 11.6 TiB for an array with shape (100000000000, 8) and data type complex128"
+
+
+@pytest.mark.parametrize(
+    "error,line",
+    [(MemoryError(), "dqipe: out of memory"), (MemoryError(_NUMPY_OOM), f"dqipe: {_NUMPY_OOM}")],
+    ids=["bare", "numpy"],
+)
+def test_cli_out_of_memory_exits_2_with_one_line(error, line, monkeypatch, capsys):
+    # a kernel raises instead of allocating: a real huge allocation need not fail fast
+    def kernel(*args):
+        raise error
+
+    monkeypatch.setattr(ex, "_multicopy_w_batch", kernel)
+    assert cli_main(["variance-check-multicopy", "--trials", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
 
 
 def _refuse_dense_work(*args):
