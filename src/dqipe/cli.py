@@ -13,6 +13,7 @@ that explicit flags override.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,12 +52,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             values.update(json.load(fh))
-    for key in ("d", "k", "m", "n_bases", "eps", "f", "trials", "seed",
-                "transport", "out", "fmt"):
-        flag = getattr(args, key)
+    for field in dataclasses.fields(ExperimentConfig):
+        flag = getattr(args, field.name)
         if flag is not None:
-            values[key] = flag
-    values["experiment"] = args.experiment
+            values[field.name] = flag
     if "seed" not in values:
         env = os.environ.get("DQIPE_SEED")
         if env is not None:

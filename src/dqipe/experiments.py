@@ -4,6 +4,11 @@ Instance generators for the promise problems and lower-bound witness
 constructions, the named experiments dispatched by the CLI, Wilson
 confidence intervals, and CSV/JSON result files that round-trip.
 
+Each statistical gate decides through one function per rule: _mean_gate
+(|mean - target| <= 4 standard errors), _variance_gate (empirical/exact
+variance in [0.95, 1.05]) and _wilson_gate (both cases' Wilson 95% lower
+ends >= 2/3, each case's trials counted by _case_hits).
+
 CSV layout: comment lines "# output_version: <n>", "# config: <json>",
 "# passed: ...", "# summary: <json>", then a header row and data rows.
 Estimate experiments emit one row per trial with columns (trial,
@@ -20,6 +25,7 @@ import io
 import json
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from importlib import resources
@@ -33,6 +39,7 @@ from .linalg import (
     complex_normals,
     haar_states,
     haar_unitaries,
+    row_blocks,
     sample_haar_state,
     squared_overlaps,
     trace_distance,
@@ -198,18 +205,17 @@ def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream)
     """Trials of the given case that the threshold decider gets right.
 
     Trial t draws the instance from root.child(case, t, 0) and the two POVM
-    outcomes from root.child(case, t, 1, STREAM_ALICE / STREAM_BOB), in
-    root.child(case).trials blocks; the dipe-threshold experiment and
-    scripts/calibrate_dipe.py both call this, so the calibration replays
-    the experiment's draws."""
-    hits = 0
-    for t in root.child(case).trials(trials):
-        tr = root.child(case, t)
+    outcomes from root.child(case, t, 1, STREAM_ALICE / STREAM_BOB); the
+    dipe-threshold experiment and scripts/calibrate_dipe.py both call this,
+    so the calibration replays the experiment's draws."""
+
+    def decide(case: int, t: int, tr: RngStream) -> int:
         phi, psi = gen_dipe_instance(d, case, tr.child(0))
         u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
         v = sym.standard_povm_sample(psi, k, tr.child(1, est.STREAM_BOB))
-        hits += est.dipe_decide_threshold(u, v, k) == case
-    return hits
+        return est.dipe_decide_threshold(u, v, k)
+
+    return _case_hits(case, trials, root, decide)
 
 
 # --- vectorized kernels for the variance checks ---
@@ -218,42 +224,34 @@ def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream)
 # and the protocol strategies call at n=1 (see linalg), so the variance
 # gates test the protocol's own arithmetic.
 
-# Trials per block of _singlecopy_w_batch: its imaginary Gaussian parts, QR
-# and Born probabilities, and then its multinomial call. LAPACK factors
-# each matrix on its own, so no bit depends on it; it sets the kernel's
-# working set beside the n-row arrays.
-_SINGLECOPY_BLOCK = 2048
-
 
 def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator) -> np.ndarray:
     """Cross-collision estimates of n trials in one shared Haar basis each.
 
     All Gaussians are drawn first: the state pairs, all real parts of the
-    Ginibre matrices, then their imaginary parts block by block, each block
-    factored as it arrives, so that only the Born probabilities are kept.
-    Then each block makes one multinomial call on its (trial, party,
-    outcome) probabilities, which numpy walks in C order: trial i's Alice
-    counts, then its Bob counts, as a per-trial loop would draw them.
+    Ginibre matrices, then their imaginary parts row block by row block
+    (linalg.row_blocks), each block factored as it arrives, so that only
+    the Born probabilities are kept. Then each block makes one multinomial
+    call on its (trial, party, outcome) probabilities, which numpy walks in
+    C order: trial i's Alice counts, then its Bob counts, as a per-trial
+    loop would draw them. LAPACK factors each matrix on its own, so no bit
+    depends on the block.
 
     Peak bytes, from the shapes: at most 8nd^2 + 48nd + 8n held (the real
     parts, the pair, the probabilities), plus 80bd^2 + 64bd for one block
-    of b = min(n, _SINGLECOPY_BLOCK) trials (its Gaussians, QR and Born
-    step) and 16 KiB of fixed allocations; 1.48 kB a trial at d=8,
-    n=20000."""
+    of b = min(n, ROW_BLOCK) trials (its Gaussians, QR and Born step) and
+    16 KiB of fixed allocations; 1.48 kB a trial at d=8, n=20000."""
     phi, psi = est.state_pairs(d, f, n, g)
     real = g.standard_normal((n, d, d))
     probs = np.empty((n, 2, d))
-    for lo in range(0, n, _SINGLECOPY_BLOCK):
-        blk = slice(lo, lo + _SINGLECOPY_BLOCK)
-        z = complex_normals(real[blk].shape, g, real[blk])
-        states = np.stack([phi[blk], psi[blk]], axis=1)
-        probs[blk] = est.pure_born_probabilities(haar_unitaries(z), states)
-    del phi, psi, real
+    for p, a, b, r in row_blocks(probs, phi, psi, real):
+        z = complex_normals(r.shape, g, r)
+        p[...] = est.pure_born_probabilities(haar_unitaries(z), np.stack([a, b], axis=1))
+    del phi, psi, real, a, b, r  # the last block's views hold the arrays too
     w = np.empty(n)
-    for lo in range(0, n, _SINGLECOPY_BLOCK):
-        blk = slice(lo, lo + _SINGLECOPY_BLOCK)
-        counts = est.born_counts(probs[blk], m, g)
-        w[blk] = (d + 1) * est.collision_fractions(counts[:, 0], counts[:, 1]) - 1.0
+    for out, p in row_blocks(w, probs):
+        counts = est.born_counts(p, m, g)
+        out[...] = (d + 1) * est.collision_fractions(counts[:, 0], counts[:, 1]) - 1.0
     return w
 
 
@@ -274,11 +272,7 @@ def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator)
     return est.multicopy_constants(d, k).estimate(squared_overlaps(u, v))
 
 
-# --- the experiments ---
-
-
-def _seed_path_str(stream: RngStream) -> str:
-    return "/".join(str(p) for p in stream.path)
+# --- the gates: one function per rule ---
 
 
 def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
@@ -286,6 +280,47 @@ def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
     var = float(values.var(ddof=1)) if values.size > 1 else 0.0
     se = math.sqrt(var / values.size) if values.size > 1 else 0.0
     return mean, var, se
+
+
+def _mean_gate(mean: float, target: float, se: float) -> tuple[float, bool]:
+    """The mean rule: z = |mean - target| / se and whether z <= 4. A sample
+    with no spread (se == 0) has z = 0 and passes."""
+    z = abs(mean - target) / se if se > 0 else 0.0
+    return z, z <= 4.0
+
+
+def _variance_gate(emp: float, exact: float) -> tuple[dict, bool]:
+    """The variance rule: empirical/exact variance in [0.95, 1.05]. Returns
+    the summary entries empirical_var, exact_var and ratio, and the verdict."""
+    ratio = emp / exact
+    return {"empirical_var": emp, "exact_var": exact, "ratio": ratio}, 0.95 <= ratio <= 1.05
+
+
+def _case_hits(case: int, trials: int, root: RngStream, decide) -> int:
+    """Trials of the given case that decide(case, t, stream) gets right, trial
+    t on stream root.child(case, t), in root.child(case).trials blocks."""
+    hits = 0
+    for t in root.child(case).trials(trials):
+        hits += decide(case, t, root.child(case, t)) == case
+    return hits
+
+
+def _wilson_gate(summary: dict, trials: int, hits) -> bool:
+    """The two-case rule: hits(case) trials of each case decided right. Both
+    cases' success rates and Wilson 95% intervals go into the summary, and
+    the rule holds when both lower ends reach 2/3."""
+    ok = True
+    for case in (1, 2):
+        count = hits(case)
+        lo, hi = wilson_interval(count, trials)
+        summary[f"success_rate_case{case}"] = count / trials
+        summary[f"wilson_lo_case{case}"] = lo
+        summary[f"wilson_hi_case{case}"] = hi
+        ok = lo >= 2.0 / 3.0 and ok
+    return ok
+
+
+# --- the experiments ---
 
 
 def _run_estimate(
@@ -296,10 +331,9 @@ def _run_estimate(
     estimator's parameters, reported in the summary. Trial t draws its
     state pair from root.child(t, 0) and runs the protocol on
     root.child(t, 1), in root.trials blocks."""
-    transport = open_transport(config.transport)
     alice, bob, referee = strategies
     rows = []
-    try:
+    with closing(open_transport(config.transport)) as transport:
         for t in root.trials(config.trials):
             phi, psi = est.make_state_pair(config.d, config.f, root.child(t, 0))
             run_rng = root.child(t, 1)
@@ -309,19 +343,11 @@ def _run_estimate(
                 transport=transport, shared_randomness=shared_randomness,
                 run_id=f"trial{t}",
             )
-            rows.append(
-                {
-                    "trial": t,
-                    "seed_path": _seed_path_str(run_rng),
-                    "w": run.result["w"],
-                    "raw_stat": run.result["raw"],
-                }
-            )
-    finally:
-        transport.close()
+            seed_path = "/".join(str(p) for p in run_rng.path)
+            rows.append({"trial": t, "seed_path": seed_path, "w": run.result["w"], "raw_stat": run.result["raw"]})
     w = np.array([r["w"] for r in rows])
     mean, var, se = _summary_stats(w)
-    passed = se == 0.0 or abs(mean - config.f) <= 4.0 * se
+    _, passed = _mean_gate(mean, config.f, se)
     summary = {
         "mean_w": mean, "var_w": var, "se": se,
         "target_f": config.f, **params, "trials": config.trials,
@@ -340,16 +366,6 @@ def _run_estimate_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple
     return _run_estimate(config, root, strategies, params, shared_randomness=True)
 
 
-def _record_case(summary: dict, case: int, hits: int, trials: int) -> float:
-    """Store one case's success rate and Wilson interval in the summary;
-    return the interval's lower end."""
-    lo, hi = wilson_interval(hits, trials)
-    summary[f"success_rate_case{case}"] = hits / trials
-    summary[f"wilson_lo_case{case}"] = lo
-    summary[f"wilson_hi_case{case}"] = hi
-    return lo
-
-
 def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     defaults = load_defaults()
     min_d = defaults["dipe_threshold_min_d"]
@@ -359,78 +375,63 @@ def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list
         math.sqrt(config.d)
     )
     summary: dict = {"k": k}
-    ok = True
-    for case in (1, 2):
-        hits = dipe_threshold_hits(config.d, k, case, config.trials, root)
-        ok = _record_case(summary, case, hits, config.trials) >= 2.0 / 3.0 and ok
+    ok = _wilson_gate(summary, config.trials, lambda case: dipe_threshold_hits(config.d, k, case, config.trials, root))
     return [], summary, ok
 
 
 def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 3
-    transport = open_transport(config.transport)
     alice, bob, referee = pi0_oneway_strategies(k)
     summary: dict = {"k": k}
     gaps = np.empty(config.trials)
-    try:
-        for case in (1, 2):
-            hits = 0
-            for t in root.child(case).trials(config.trials):
-                tr = root.child(case, t)
-                phi, psi = gen_dipe_instance(config.d, case, tr.child(0))
-                run = run_protocol(
-                    OneWay(), alice, bob, referee,
-                    {Role.ALICE: phi, Role.BOB: psi}, tr.child(1),
-                    transport=transport, run_id=f"case{case}-trial{t}",
-                )
-                hits += run.result["case"] == case
-                if case == 2:
-                    # acceptance gap of the all-orthogonal test between an
-                    # independent state and the state Alice measured
-                    u = PureState(run.messages[0].payload)
-                    gaps[t] = est.pi0_reject_probability(u, psi, k) - est.pi0_reject_probability(u, phi, k)
-            _record_case(summary, case, hits, config.trials)
-    finally:
-        transport.close()
+    with closing(open_transport(config.transport)) as transport:
+        def decide(case: int, t: int, tr: RngStream) -> int:
+            phi, psi = gen_dipe_instance(config.d, case, tr.child(0))
+            run = run_protocol(
+                OneWay(), alice, bob, referee,
+                {Role.ALICE: phi, Role.BOB: psi}, tr.child(1),
+                transport=transport, run_id=f"case{case}-trial{t}",
+            )
+            if case == 2:
+                # acceptance gap of the all-orthogonal test between an
+                # independent state and the state Alice measured
+                u = PureState(run.messages[0].payload)
+                gaps[t] = est.pi0_reject_probability(u, psi, k) - est.pi0_reject_probability(u, phi, k)
+            return run.result["case"]
+
+        # both cases' intervals are reported; the gate is the gap's mean rule
+        _wilson_gate(summary, config.trials, lambda case: _case_hits(case, config.trials, root, decide))
     gap_mean, _, gap_se = _summary_stats(gaps)
     closed = sym.trace_distance_rho_u_block(config.d, k)
-    summary["gap_mean"] = gap_mean
-    summary["gap_se"] = gap_se
-    summary["gap_closed_form"] = closed
-    passed = gap_se == 0.0 or abs(gap_mean - closed) <= 4.0 * gap_se
+    summary.update(gap_mean=gap_mean, gap_se=gap_se, gap_closed_form=closed)
+    _, passed = _mean_gate(gap_mean, closed, gap_se)
     return [], summary, passed
 
 
 def _run_variance_check_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 12
-    w = _multicopy_w_batch(config.d, k, config.f, config.trials, root.rng)
-    emp = float(w.var(ddof=1))
+    # the exact variance first: it refuses d < 2 before any draw
     exact = est.multicopy_variance_exact(config.d, k, config.f)
-    ratio = emp / exact
-    summary = {"mean_w": float(w.mean()), "empirical_var": emp, "exact_var": exact, "ratio": ratio, "k": k, "f": config.f}
-    return [], summary, 0.95 <= ratio <= 1.05
+    w = _multicopy_w_batch(config.d, k, config.f, config.trials, root.rng)
+    band, passed = _variance_gate(float(w.var(ddof=1)), exact)
+    return [], {"mean_w": float(w.mean()), **band, "k": k, "f": config.f}, passed
 
 
 def _run_variance_check_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
+    exact = (config.d + 1) ** 2 * est.singlecopy_variance_exact_pure(config.d, config.m, config.f)
     w = _singlecopy_w_batch(config.d, config.m, config.f, config.trials, root.rng)
-    emp = float(w.var(ddof=1))
-    exact = (config.d + 1) ** 2 * est.singlecopy_variance_exact_pure(
-        config.d, config.m, config.f
-    )
-    ratio = emp / exact
-    summary = {"mean_w": float(w.mean()), "se": math.sqrt(emp / config.trials), "empirical_var": emp, "exact_var": exact, "ratio": ratio, "m": config.m, "f": config.f}
-    return [], summary, 0.95 <= ratio <= 1.05
+    band, passed = _variance_gate(float(w.var(ddof=1)), exact)
+    se = math.sqrt(band["empirical_var"] / config.trials)
+    return [], {"mean_w": float(w.mean()), "se": se, **band, "m": config.m, "f": config.f}, passed
 
 
 def _run_variance_check_swap(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 100
+    exact = est.swap_test_variance(config.f, k)
     rejects = root.rng.binomial(k, (1.0 - config.f) / 2.0, size=config.trials)
     w = 1.0 - 2.0 * rejects / k
-    emp = float(w.var(ddof=1))
-    exact = est.swap_test_variance(config.f, k)
-    ratio = emp / exact
-    summary = {"empirical_var": emp, "exact_var": exact, "ratio": ratio, "k": k, "f": config.f}
-    return [], summary, 0.95 <= ratio <= 1.05
+    band, passed = _variance_gate(float(w.var(ddof=1)), exact)
+    return [], {**band, "k": k, "f": config.f}, passed
 
 
 def _run_spectrum_check(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
@@ -560,17 +561,16 @@ def _run_moment_check(config: ExperimentConfig, root: RngStream) -> tuple[list, 
         z = complex_normals((d, d), g)
         mats.append((z + z.conj().T) / 2)
     psi = haar_states(d, config.trials, g)
-    max_z = 0.0
+    gates = []
     for k in (1, 2, 3):
         prods = np.ones(config.trials)
         for a in mats[:k]:
             prods = prods * np.einsum("nd,de,ne->n", psi.conj(), a, psi).real
         exact = float(oracles.haar_moment_exact(mats[:k]).real)
         mean, _, se = _summary_stats(prods)
-        if se > 0:
-            max_z = max(max_z, abs(mean - exact) / se)
-    summary = {"max_z": max_z, "draws": config.trials}
-    return [], summary, max_z <= 4.0
+        gates.append(_mean_gate(mean, exact, se))
+    summary = {"max_z": max(z for z, _ in gates), "draws": config.trials}
+    return [], summary, all(ok for _, ok in gates)
 
 
 def _run_problem1(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
@@ -579,16 +579,13 @@ def _run_problem1(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
     window = config.eps * defaults["problem1_window_frac"]
     center = (1.0 - config.eps) ** 2
     summary: dict = {"k": k, "window": window, "center": center}
-    ok = True
-    for case in (1, 2):
-        hits = 0
-        for t in root.child(case).trials(config.trials):
-            tr = root.child(case, t)
-            a, b = gen_problem1_instance(config.d, config.eps, case, tr.child(0))
-            rec = est.multicopy_estimate(a, b, k, tr.child(1))
-            decided = 2 if abs(rec.value - center) <= window else 1
-            hits += decided == case
-        ok = _record_case(summary, case, hits, config.trials) >= 2.0 / 3.0 and ok
+
+    def decide(case: int, t: int, tr: RngStream) -> int:
+        a, b = gen_problem1_instance(config.d, config.eps, case, tr.child(0))
+        rec = est.multicopy_estimate(a, b, k, tr.child(1))
+        return 2 if abs(rec.value - center) <= window else 1
+
+    ok = _wilson_gate(summary, config.trials, lambda case: _case_hits(case, config.trials, root, decide))
     return [], summary, ok
 
 

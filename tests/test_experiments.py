@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -17,7 +18,7 @@ from dqipe import experiments as ex
 from dqipe import linalg, oracles, wire
 from dqipe import rng as rng_module
 from dqipe import symmetric as sym
-from dqipe.cli import main as cli_main
+from dqipe.cli import build_parser, main as cli_main
 from dqipe.linalg import DensityMatrix, PureState, dmax, overlap2
 from dqipe.rng import RngStream
 
@@ -205,7 +206,7 @@ def _singlecopy_w_loop(d, m, f, n, g):
     return w
 
 
-_BLOCK = ex._SINGLECOPY_BLOCK
+_BLOCK = linalg.ROW_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
@@ -304,7 +305,7 @@ _PINNED_KERNELS = {
 
 def test_batch_kernels_pinned_across_blocks():
     n = 6145
-    assert n == 3 * linalg.ROW_BLOCK + 1 == 3 * ex._SINGLECOPY_BLOCK + 1
+    assert n == 3 * linalg.ROW_BLOCK + 1
     ws = {
         "multicopy": ex._multicopy_w_batch(8, 16, 0.5, n, np.random.default_rng([8, n])),
         "singlecopy": ex._singlecopy_w_batch(8, 32, 0.5, n, np.random.default_rng([8, n])),
@@ -325,7 +326,7 @@ def _traced_peak(kernel, d, param, f, n):
 def test_batch_kernels_peak_under_their_stated_bytes():
     # the bounds of the kernels' docstrings; whole-run temporaries break them
     n, d = 20_000, 8
-    b = min(n, ex._SINGLECOPY_BLOCK)
+    b = min(n, linalg.ROW_BLOCK)
     multicopy = 56 * n * d + 56 * n + 32 * d * linalg.ROW_BLOCK
     singlecopy = 8 * n * d * d + 48 * n * d + 8 * n + 80 * b * d * d + 64 * b * d + 16 * 1024
     assert _traced_peak(ex._multicopy_w_batch, d, 16, 0.5, n) <= multicopy
@@ -369,6 +370,55 @@ def test_wilson_interval_known_value():
     lo, hi = ex.wilson_interval(50, 100)
     assert lo == pytest.approx(0.4038, abs=2e-3)
     assert hi == pytest.approx(0.5962, abs=2e-3)
+
+
+# --- gate rules at their edges ---
+
+
+@pytest.mark.parametrize(
+    "emp,passed",
+    [
+        (0.95, True),
+        (1.05, True),
+        (float(np.nextafter(0.95, 0.0)), False),
+        (float(np.nextafter(1.05, 2.0)), False),
+    ],
+)
+def test_variance_gate_band_edges(emp, passed):
+    band, ok = ex._variance_gate(emp, 1.0)
+    assert band == {"empirical_var": emp, "exact_var": 1.0, "ratio": emp}
+    assert list(band) == ["empirical_var", "exact_var", "ratio"]
+    assert ok is passed
+
+
+def test_mean_gate_edges():
+    # a sample with no spread passes whatever its mean
+    assert ex._mean_gate(0.3, 0.5, 0.0) == (0.0, True)
+    assert ex._mean_gate(4.0, 0.0, 1.0) == (4.0, True)
+    z, ok = ex._mean_gate(float(np.nextafter(4.0, 5.0)), 0.0, 1.0)
+    assert z > 4.0 and not ok
+
+
+def test_wilson_gate_records_case_2_after_case_1_fails():
+    # a decider that always answers 2: case 1 never succeeds, case 2 always
+    trials = 30
+    summary: dict = {}
+
+    def always_2(case, t, stream):
+        return 2
+
+    assert not ex._wilson_gate(summary, trials, lambda case: ex._case_hits(case, trials, RngStream(0), always_2))
+    lo, hi = ex.wilson_interval(trials, trials)
+    assert summary == {
+        "success_rate_case1": 0.0,
+        "wilson_lo_case1": 0.0,
+        "wilson_hi_case1": ex.wilson_interval(0, trials)[1],
+        "success_rate_case2": 1.0,
+        "wilson_lo_case2": lo,
+        "wilson_hi_case2": hi,
+    }
+    assert lo >= 2.0 / 3.0
+    assert ex._wilson_gate({}, trials, {1: trials, 2: trials}.get)
 
 
 # --- result files ---
@@ -473,6 +523,12 @@ def test_multicopy_error_p90_decreases_in_k():
 # --- cli ---
 
 
+def test_cli_has_a_flag_for_every_config_field():
+    flags = {action.dest for action in build_parser()._actions if action.option_strings}
+    fields = {field.name for field in dataclasses.fields(ex.ExperimentConfig)}
+    assert fields - {"experiment"} <= flags
+
+
 def test_readme_cli_table_names_every_experiment_in_order():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
@@ -551,6 +607,9 @@ def test_sym_k_checks_pass_at_d1(experiment, capsys):
         ["estimate-multicopy", "--seed", "-1", "--trials", "2"],
         # nothing listens on port 1: the connection is refused
         ["estimate-multicopy", "--trials", "2", "--transport", "tcp:127.0.0.1:1"],
+        # the exact variance refuses d < 2 before the kernel draws
+        ["variance-check-singlecopy", "--d", "1", "--trials", "50"],
+        ["variance-check-multicopy", "--d", "1", "--trials", "50"],
     ],
 )
 def test_cli_run_errors_exit_2_with_one_line(argv, capsys):
@@ -821,3 +880,27 @@ def test_seeded_frames_and_results_pinned(monkeypatch, capsys):
         assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == want, argv[0]
     assert count == 240
     assert frames.hexdigest() == _PINNED_FRAMES
+
+
+# The same pin, with the exit code, for the experiments that send no
+# frames; a FAIL is pinned as well, so no re-seed can hide it.
+_PINNED_VERDICTS = [
+    (["dipe-threshold", "--trials", "30"], 0,
+     "66f6dea389655f831b59a5166c06d5cc0bd8bf7bc1aa983a0e64fede1c7cabe3"),
+    (["problem1-distinguish", "--trials", "30"], 1,
+     "15ff3e8bc7dd90e8c05ff8c934e9e72a7b80610e931c3551abd0667c12f1ce87"),
+    (["moment-check", "--trials", "200"], 0,
+     "e6ad7519d6539ca299a4e1013aef5f898e53485e41d8fb0e1901c6dadb0791f6"),
+    (["variance-check-multicopy", "--trials", "200"], 1,
+     "2d070746b93d9e7fd8d9cde2ec8888d94a40cb7a7d1c93f30c01d2bc95070437"),
+    (["variance-check-swap", "--trials", "200"], 1,
+     "1a1d9f6a93d6a3389b1becce18b1e63cbba806c2e9040bba1ccf77b3df2f916a"),
+]
+
+
+@pytest.mark.parametrize("argv,code,want", _PINNED_VERDICTS, ids=[a[0] for a, _, _ in _PINNED_VERDICTS])
+def test_seeded_verdicts_pinned(argv, code, want, capsys):
+    assert cli_main(argv + ["--seed", "4"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    del doc["wall_clock"]
+    assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == want
