@@ -65,17 +65,12 @@ STREAM_REFEREE = 3
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One run of an estimator: the unbiased estimate plus its raw statistic
-    and enough bookkeeping to reproduce it."""
+    """One run of an estimator: the unbiased estimate, its raw statistic,
+    and whether the inputs were degenerate (d=1, where the overlap is
+    exactly 1). The inputs themselves stay with the caller."""
 
     value: float
     raw: float
-    d: int
-    k: int
-    n_bases: int | None = None
-    m: int | None = None
-    seed: int | None = None
-    path: tuple[int, ...] = ()
     degenerate: bool = False
 
 
@@ -121,15 +116,12 @@ def multicopy_estimate(
         raise TypeError("multicopy_estimate requires pure states")
     if phi.dim != psi.dim:
         raise ValueError("dimension mismatch")
-    d = phi.dim
     if k < 1:
         raise ValueError("k must be >= 1")
     u = standard_povm_sample(phi, k, rng.child(STREAM_ALICE))
     v = standard_povm_sample(psi, k, rng.child(STREAM_BOB))
     w, x = multicopy_referee(u, v, k)
-    return EstimateRecord(
-        value=w, raw=x, d=d, k=k, seed=rng.seed, path=rng.path, degenerate=d == 1
-    )
+    return EstimateRecord(value=w, raw=x, degenerate=phi.dim == 1)
 
 
 def multicopy_referee(u: PureState, v: PureState, k: int) -> tuple[float, float]:
@@ -266,10 +258,7 @@ def singlecopy_estimate(
     x = singlecopy_outcomes(rho, n_bases, m, shared, rng.child(STREAM_ALICE))
     y = singlecopy_outcomes(sigma, n_bases, m, shared, rng.child(STREAM_BOB))
     w, raw = singlecopy_referee(x, y, d)
-    return EstimateRecord(
-        value=w, raw=raw, d=d, k=1, n_bases=n_bases, m=m, seed=rng.seed, path=rng.path,
-        degenerate=d == 1,
-    )
+    return EstimateRecord(value=w, raw=raw, degenerate=d == 1)
 
 
 def singlecopy_outcomes(

@@ -7,7 +7,10 @@ confidence intervals, and CSV/JSON result files that round-trip.
 Each statistical gate decides through one function per rule: _mean_gate
 (|mean - target| <= 4 standard errors), _variance_gate (empirical/exact
 variance in [0.95, 1.05]) and _wilson_gate (both cases' Wilson 95% lower
-ends >= 2/3, each case's trials counted by _case_hits).
+ends >= 2/3, each case's trials counted by _case_hits). The mean and
+variance gates read their sample through _summary_stats, which refuses
+fewer than 2 trials, and the variance checks refuse a zero exact variance
+(_judgeable_variance) before they draw; both exit 2 at the CLI.
 
 CSV layout: comment lines "# output_version: <n>", "# config: <json>",
 "# passed: ...", "# summary: <json>", then a header row and data rows.
@@ -39,6 +42,7 @@ from .linalg import (
     complex_normals,
     haar_states,
     haar_unitaries,
+    ROW_BLOCK,
     row_blocks,
     sample_haar_state,
     squared_overlaps,
@@ -165,40 +169,25 @@ def gen_dipe_instance(d: int, case: int, rng: RngStream) -> tuple[PureState, Pur
     raise ValueError("case must be 1 or 2")
 
 
-def _embed_tail(vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(vec.size + 1, dtype=complex)
-    out[1:] = vec
-    return out
-
-
 def gen_problem1_instance(
     d: int, eps: float, case: int, rng: RngStream
 ) -> tuple[PureState, PureState]:
     """Phase-fragile states in C^{d+1}: sqrt(1-eps) e^{i theta} |0> +
     sqrt(eps)|phi> with phi Haar in the span of the last d basis states.
 
-    Case 1 shares phi between the parties (fresh phases); case 2 draws
+    Two phases are drawn, then the tails are gen_dipe_instance's pair:
+    case 1 shares phi between the parties (fresh phases), case 2 draws
     independent phi and psi."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    g = rng.rng
-    theta, theta2 = g.uniform(0.0, 2.0 * math.pi, size=2)
-    phi = sample_haar_state(d, rng)
-    psi = phi if case == 1 else sample_haar_state(d, rng)
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
-    e0 = np.zeros(d + 1, dtype=complex)
-    e0[0] = 1.0
-
-    def build(angle: float, tail: PureState) -> PureState:
-        return PureState(
-            math.sqrt(1.0 - eps) * np.exp(1j * angle) * e0
-            + math.sqrt(eps) * _embed_tail(tail.amplitudes)
-        )
-
-    return build(theta, phi), build(theta2, psi)
+    angles = rng.rng.uniform(0.0, 2.0 * math.pi, size=2)
+    tails = gen_dipe_instance(d, case, rng)
+    return tuple(
+        PureState(np.concatenate(
+            ([math.sqrt(1.0 - eps) * np.exp(1j * angle)], math.sqrt(eps) * tail.amplitudes)
+        ))
+        for angle, tail in zip(angles, tails)
+    )
 
 
 def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream) -> int:
@@ -231,20 +220,24 @@ def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator
     All Gaussians are drawn first: the state pairs, all real parts of the
     Ginibre matrices, then their imaginary parts row block by row block
     (linalg.row_blocks), each block factored as it arrives, so that only
-    the Born probabilities are kept. Then each block makes one multinomial
-    call on its (trial, party, outcome) probabilities, which numpy walks in
-    C order: trial i's Alice counts, then its Bob counts, as a per-trial
-    loop would draw them. LAPACK factors each matrix on its own, so no bit
-    depends on the block.
+    the Born probabilities are kept. A block holds as many d x d matrices
+    as ROW_BLOCK does at d=8, so its bytes do not grow with d. Then each
+    ROW_BLOCK of trials makes one multinomial call on its (trial, party,
+    outcome) probabilities, which numpy walks in C order: trial i's Alice
+    counts, then its Bob counts, as a per-trial loop would draw them.
+    LAPACK factors each matrix on its own, so no bit depends on a block.
 
     Peak bytes, from the shapes: at most 8nd^2 + 48nd + 8n held (the real
-    parts, the pair, the probabilities), plus 80bd^2 + 64bd for one block
-    of b = min(n, ROW_BLOCK) trials (its Gaussians, QR and Born step) and
-    16 KiB of fixed allocations; 1.48 kB a trial at d=8, n=20000."""
+    parts, the pair, the probabilities), plus 80bd^2 for one block of
+    b = min(n, ROW_BLOCK, max(1, 64 ROW_BLOCK // d^2)) matrices (its
+    Gaussians and QR), 64Bd for the row steps over B = min(n, ROW_BLOCK)
+    trials (the pair's, the Born step's, the counts') and 16 KiB of fixed
+    allocations; 1.48 kB a trial at d=8, n=20000."""
     phi, psi = est.state_pairs(d, f, n, g)
     real = g.standard_normal((n, d, d))
     probs = np.empty((n, 2, d))
-    for p, a, b, r in row_blocks(probs, phi, psi, real):
+    rows = min(ROW_BLOCK, max(1, ROW_BLOCK * 64 // d**2))
+    for p, a, b, r in row_blocks(probs, phi, psi, real, rows=rows):
         z = complex_normals(r.shape, g, r)
         p[...] = est.pure_born_probabilities(haar_unitaries(z), np.stack([a, b], axis=1))
     del phi, psi, real, a, b, r  # the last block's views hold the arrays too
@@ -276,10 +269,13 @@ def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator)
 
 
 def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, sample variance (ddof=1) and standard error of the mean. One
+    value has no sample variance, so no gate can judge it: refused."""
+    if values.size < 2:
+        raise ValueError(f"a gate needs at least 2 trials to judge a sample, got {values.size}")
     mean = float(values.mean())
-    var = float(values.var(ddof=1)) if values.size > 1 else 0.0
-    se = math.sqrt(var / values.size) if values.size > 1 else 0.0
-    return mean, var, se
+    var = float(values.var(ddof=1))
+    return mean, var, math.sqrt(var / values.size)
 
 
 def _mean_gate(mean: float, target: float, se: float) -> tuple[float, bool]:
@@ -287,6 +283,14 @@ def _mean_gate(mean: float, target: float, se: float) -> tuple[float, bool]:
     with no spread (se == 0) has z = 0 and passes."""
     z = abs(mean - target) / se if se > 0 else 0.0
     return z, z <= 4.0
+
+
+def _judgeable_variance(exact: float) -> float:
+    """The exact variance, refused when it is 0: no ratio to it exists.
+    Each variance check calls this before its draw."""
+    if not exact > 0.0:
+        raise ValueError(f"the exact variance is {exact}, so the variance gate has no ratio to judge")
+    return exact
 
 
 def _variance_gate(emp: float, exact: float) -> tuple[dict, bool]:
@@ -410,27 +414,31 @@ def _run_dipe_pi0(config: ExperimentConfig, root: RngStream) -> tuple[list, dict
 
 def _run_variance_check_multicopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 12
-    # the exact variance first: it refuses d < 2 before any draw
-    exact = est.multicopy_variance_exact(config.d, k, config.f)
+    # the exact variance first: it refuses d < 2 and a zero variance before any draw
+    exact = _judgeable_variance(est.multicopy_variance_exact(config.d, k, config.f))
     w = _multicopy_w_batch(config.d, k, config.f, config.trials, root.rng)
-    band, passed = _variance_gate(float(w.var(ddof=1)), exact)
-    return [], {"mean_w": float(w.mean()), **band, "k": k, "f": config.f}, passed
+    mean, var, _ = _summary_stats(w)
+    band, passed = _variance_gate(var, exact)
+    return [], {"mean_w": mean, **band, "k": k, "f": config.f}, passed
 
 
 def _run_variance_check_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
-    exact = (config.d + 1) ** 2 * est.singlecopy_variance_exact_pure(config.d, config.m, config.f)
+    exact = _judgeable_variance(
+        (config.d + 1) ** 2 * est.singlecopy_variance_exact_pure(config.d, config.m, config.f)
+    )
     w = _singlecopy_w_batch(config.d, config.m, config.f, config.trials, root.rng)
-    band, passed = _variance_gate(float(w.var(ddof=1)), exact)
-    se = math.sqrt(band["empirical_var"] / config.trials)
-    return [], {"mean_w": float(w.mean()), "se": se, **band, "m": config.m, "f": config.f}, passed
+    mean, var, se = _summary_stats(w)
+    band, passed = _variance_gate(var, exact)
+    return [], {"mean_w": mean, "se": se, **band, "m": config.m, "f": config.f}, passed
 
 
 def _run_variance_check_swap(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     k = config.k if config.k > 0 else 100
-    exact = est.swap_test_variance(config.f, k)
+    exact = _judgeable_variance(est.swap_test_variance(config.f, k))
     rejects = root.rng.binomial(k, (1.0 - config.f) / 2.0, size=config.trials)
     w = 1.0 - 2.0 * rejects / k
-    band, passed = _variance_gate(float(w.var(ddof=1)), exact)
+    _, var, _ = _summary_stats(w)
+    band, passed = _variance_gate(var, exact)
     return [], {**band, "k": k, "f": config.f}, passed
 
 

@@ -127,14 +127,14 @@ def _check_same_dim(a, b):
 ROW_BLOCK = 2048
 
 
-def row_blocks(*arrays):
-    """Views of ROW_BLOCK leading rows of each array at a time, as tuples
-    for a loop of in-place updates (the arrays themselves when they are no
+def row_blocks(*arrays, rows: int = ROW_BLOCK):
+    """Views of `rows` leading rows of each array at a time, as tuples for a
+    loop of in-place updates (the arrays themselves when they are no
     longer)."""
     n = len(arrays[0])
-    if n <= ROW_BLOCK:
+    if n <= rows:
         return (arrays,)
-    return [tuple(a[lo : lo + ROW_BLOCK] for a in arrays) for lo in range(0, n, ROW_BLOCK)]
+    return [tuple(a[lo : lo + rows] for a in arrays) for lo in range(0, n, rows)]
 
 
 def complex_normals(shape, g: np.random.Generator, real: np.ndarray | None = None) -> np.ndarray:

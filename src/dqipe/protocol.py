@@ -6,8 +6,11 @@ Alice-to-Bob message, or alternating interactive rounds. Strategies are
 callbacks receiving a PartyContext (own quantum input, own rng stream,
 messages visible so far). Only the parties' messages go over the wire:
 each is checked against the setting's rules before it is encoded, then
-passes through a pluggable transport as one wire frame, so the in-process
-and tcp transports produce identical transcripts.
+passes through a pluggable transport as one wire frame. The harness
+refuses (WireError) any returned line other than the one it sent, so the
+transcript records the message it checked, with the payload the wire
+carried, and the in-process and tcp transports produce identical
+transcripts.
 
 Stream assignment matches the estimator layout: shared randomness is
 child 0, Alice child 1, Bob child 2, Referee child 3 of the run stream.
@@ -26,7 +29,7 @@ from .estimators import (
 from .linalg import PureState
 from .rng import RngStream
 from .symmetric import standard_povm_sample
-from .wire import InprocTransport, decode_frame, decode_payload, encode_frame, make_frame
+from .wire import InprocTransport, WireError, decode_frame, decode_payload, encode_frame, make_frame
 
 __all__ = [
     "Role",
@@ -159,19 +162,14 @@ def run_protocol(
         verdict = _violation(setting, [*transcript.messages, candidate], complete=False)
         if verdict is not None:
             raise ProtocolViolation(verdict)
-        frame = make_frame(run_id, round_, sender.value, receiver.value, mtype, payload)
-        line = transport.exchange(encode_frame(frame))
-        back = decode_frame(line)
-        transcript.messages.append(
-            Message(
-                round=back["round"],
-                sender=Role(back["from"]),
-                receiver=Role(back["to"]),
-                mtype=back["type"],
-                payload=decode_payload(back["type"], back["payload"]),
-                nbytes=len(line.encode("utf-8")),
-            )
-        )
+        line = encode_frame(make_frame(run_id, round_, sender.value, receiver.value, mtype, payload))
+        back = transport.exchange(line)
+        frame = decode_frame(back)
+        if back != line:
+            raise WireError(f"round {round_}: the transport returned a line other than the one sent")
+        # the message just checked; its payload is the one the wire carried
+        payload = decode_payload(mtype, frame["payload"])
+        transcript.messages.append(Message(round_, sender, receiver, mtype, payload, len(back.encode("utf-8"))))
 
     def inbox_for(role: Role) -> list[Message]:
         return [m for m in transcript.messages if m.receiver == role]

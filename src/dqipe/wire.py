@@ -20,7 +20,9 @@ Each frame costs one encode and one validating decode (by the protocol
 harness). Both transports hand the line back unchanged: the in-process one
 without leaving the process, and a TCP collector by echoing the line it
 received once it has decoded it, so an accepted line, canonical or not,
-comes back byte for byte.
+comes back byte for byte. The protocol harness refuses with WireError any
+returned line other than the one it sent, even one that decodes to an
+equal frame.
 """
 
 from __future__ import annotations

@@ -82,6 +82,20 @@ def test_problem1_instance_structure():
     assert overlap2(a, b) == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "d,eps,case,message",
+    [
+        (1, 0.1, 1, "d must be >= 2"),
+        (8, 0.1, 3, "case must be 1 or 2"),
+        (8, 0.0, 1, "eps must be in \\(0, 1\\)"),
+        (8, 1.0, 2, "eps must be in \\(0, 1\\)"),
+    ],
+)
+def test_problem1_instance_refuses_bad_arguments(d, eps, case, message):
+    with pytest.raises(ValueError, match=message):
+        ex.gen_problem1_instance(d, eps, case, RngStream(0))
+
+
 def test_problem1_case2_mean_overlap():
     d, eps = 64, 0.1
     r = RngStream(4)
@@ -324,13 +338,24 @@ def _traced_peak(kernel, d, param, f, n):
 
 
 def test_batch_kernels_peak_under_their_stated_bytes():
-    # the bounds of the kernels' docstrings; whole-run temporaries break them
-    n, d = 20_000, 8
-    b = min(n, linalg.ROW_BLOCK)
-    multicopy = 56 * n * d + 56 * n + 32 * d * linalg.ROW_BLOCK
-    singlecopy = 8 * n * d * d + 48 * n * d + 8 * n + 80 * b * d * d + 64 * b * d + 16 * 1024
-    assert _traced_peak(ex._multicopy_w_batch, d, 16, 0.5, n) <= multicopy
-    assert _traced_peak(ex._singlecopy_w_batch, d, 32, 0.5, n) <= singlecopy
+    # the bounds of the kernels' docstrings; whole-run temporaries break them,
+    # and so does a single-copy block counted in trials at d=33
+    for n, d in [(20_000, 8), (5_000, 33)]:
+        big = min(n, linalg.ROW_BLOCK)
+        b = min(big, max(1, 64 * linalg.ROW_BLOCK // d**2))
+        multicopy = 56 * n * d + 56 * n + 32 * d * linalg.ROW_BLOCK
+        singlecopy = 8 * n * d * d + 48 * n * d + 8 * n + 80 * b * d * d + 64 * big * d + 16 * 1024
+        assert _traced_peak(ex._multicopy_w_batch, d, 16, 0.5, n) <= multicopy
+        assert _traced_peak(ex._singlecopy_w_batch, d, 32, 0.5, n) <= singlecopy
+
+
+def test_singlecopy_batch_matches_per_trial_loop_across_byte_sized_blocks():
+    # at d=33 a block holds 120 matrices, so 250 trials take three
+    d, m, n = 33, 8, 250
+    assert n > 2 * (64 * linalg.ROW_BLOCK // d**2)
+    w = ex._singlecopy_w_batch(d, m, 0.3, n, np.random.default_rng([n, d, m]))
+    want = _singlecopy_w_loop(d, m, 0.3, n, np.random.default_rng([n, d, m]))
+    assert np.array_equal(w.view(np.int64), want.view(np.int64))
 
 
 def test_variance_check_singlecopy_summary_pinned():
@@ -610,6 +635,16 @@ def test_sym_k_checks_pass_at_d1(experiment, capsys):
         # the exact variance refuses d < 2 before the kernel draws
         ["variance-check-singlecopy", "--d", "1", "--trials", "50"],
         ["variance-check-multicopy", "--d", "1", "--trials", "50"],
+        # an exact variance of 0 leaves the variance gate no ratio
+        ["variance-check-swap", "--f", "1"],
+        # one trial has no sample variance, so no gate can judge it
+        ["variance-check-swap", "--trials", "1"],
+        ["variance-check-multicopy", "--trials", "1"],
+        ["variance-check-singlecopy", "--trials", "1"],
+        ["estimate-multicopy", "--trials", "1"],
+        ["estimate-singlecopy", "--trials", "1"],
+        ["dipe-pi0", "--trials", "1"],
+        ["moment-check", "--trials", "1"],
     ],
 )
 def test_cli_run_errors_exit_2_with_one_line(argv, capsys):

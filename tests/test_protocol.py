@@ -198,16 +198,19 @@ def test_decode_frame_refuses_a_line_that_is_not_an_object(line):
         wire.decode_frame(line)
 
 
-def test_cli_exits_2_when_the_collector_answers_a_non_object(capsys):
-    class _AnswerThree(socketserver.StreamRequestHandler):
+def _cli_against_peer(answer, capsys) -> str:
+    """Run estimate-multicopy over tcp against a peer that answers each line
+    with answer(line); assert exit 2 with one stderr line and return it."""
+
+    class _Answer(socketserver.StreamRequestHandler):
         def handle(self):
-            for _ in self.rfile:
-                self.wfile.write(b"3\n")
+            for raw in self.rfile:
+                self.wfile.write((answer(raw.decode("utf-8").rstrip("\n")) + "\n").encode("utf-8"))
 
     class _Server(socketserver.ThreadingTCPServer):
         daemon_threads = True
 
-    server = _Server(("127.0.0.1", 0), _AnswerThree)
+    server = _Server(("127.0.0.1", 0), _Answer)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         host, port = server.server_address[:2]
@@ -219,7 +222,54 @@ def test_cli_exits_2_when_the_collector_answers_a_non_object(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("dqipe: frame is not a JSON object")
+    assert len(lines) == 1 and lines[0].startswith("dqipe: ")
+    return lines[0]
+
+
+def test_cli_exits_2_when_the_collector_answers_a_non_object(capsys):
+    assert _cli_against_peer(lambda line: "3", capsys).startswith("dqipe: frame is not a JSON object")
+
+
+def _altered(line: str, **changes) -> str:
+    return wire.encode_frame({**wire.decode_frame(line), **changes})
+
+
+def _swap_two_pairs(line: str) -> str:
+    pairs = wire.decode_frame(line)["payload"]
+    return _altered(line, payload=[pairs[1], pairs[0], *pairs[2:]])
+
+
+_OTHER_LINES = {
+    "round-string": lambda line: _altered(line, round="x"),
+    "round-null": lambda line: _altered(line, round=None),
+    "pairs-swapped": _swap_two_pairs,
+    "spaces": lambda line: json.dumps(wire.decode_frame(line)),
+}
+
+
+@pytest.mark.parametrize("answer", list(_OTHER_LINES.values()), ids=list(_OTHER_LINES))
+def test_cli_exits_2_when_the_peer_answers_another_line(answer, capsys):
+    # the referee may use only what the party sent: a peer that changes a
+    # header field, the payload or only the bytes is refused, not believed
+    line = _cli_against_peer(answer, capsys)
+    assert line == "dqipe: round 1: the transport returned a line other than the one sent"
+
+
+def test_inproc_transport_returning_another_line_is_refused_before_the_referee():
+    phi, psi, rng = _pair()
+    a, b, _ = multicopy_smp_strategies(4)
+    referee_ran = []
+
+    class _Swapping(wire.InprocTransport):
+        def exchange(self, line):
+            return _swap_two_pairs(line)
+
+    with pytest.raises(wire.WireError, match="other than the one sent"):
+        run_protocol(
+            Smp(), a, b, referee_ran.append, {Role.ALICE: phi, Role.BOB: psi}, rng,
+            transport=_Swapping(),
+        )
+    assert referee_ran == []
 
 
 @pytest.mark.parametrize("ptype", ["hello", "result"])
