@@ -79,8 +79,6 @@ class MulticopyConstants:
     """Affine calibration w = slope * |<u|v>|^2 - offset making the
     multi-copy statistic unbiased for the squared overlap."""
 
-    d: int
-    k: int
     slope: float
     offset: float
     mean_a: float  # intercept of E|<u|v>|^2 = mean_a + mean_b * f
@@ -98,7 +96,7 @@ def multicopy_constants(d: int, k: int) -> MulticopyConstants:
     offset = (d + 2 * k) / k**2
     mean_a = (d + 2 * k) / (d + k) ** 2
     mean_b = k**2 / (d + k) ** 2
-    return MulticopyConstants(d, k, slope, offset, mean_a, mean_b)
+    return MulticopyConstants(slope, offset, mean_a, mean_b)
 
 
 def multicopy_estimate(

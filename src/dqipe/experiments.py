@@ -29,7 +29,7 @@ import json
 import math
 import time
 from contextlib import closing
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from fractions import Fraction
 from importlib import resources
 
@@ -90,6 +90,11 @@ def load_defaults() -> dict:
         return json.load(fh)
 
 
+# The values each field annotation of ExperimentConfig accepts; bool,
+# although an int, is refused everywhere.
+_ACCEPTS = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -106,6 +111,10 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[fld.type]):
+                raise ValueError(f"{fld.name} must be {fld.type}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if min(self.d, self.m, self.n_bases, self.trials) < 1 or self.k < 0:
@@ -448,9 +457,9 @@ def _run_spectrum_check(config: ExperimentConfig, root: RngStream) -> tuple[list
     # the oracle first: its guard refuses what it cannot finish
     numeric = oracles.rho_u_numeric(u.amplitudes, k)
     rho = sym.rho_u_closed_form(u, k)
-    spec = sym.block_spectrum(config.d, k)
+    betas, dims = sym.block_spectrum(config.d, k)
     expected = sorted(
-        [b for b, dim in zip(spec.betas, spec.dims) for _ in range(dim)]
+        [b for b, dim in zip(betas, dims) for _ in range(dim)]
     ) + [0.0] * (config.d**k - sym.sym_dimension(config.d, k))
     eigs = np.sort(np.linalg.eigvalsh(rho.matrix))
     eig_dev = float(np.max(np.abs(eigs - np.sort(np.array(expected)))))

@@ -92,10 +92,13 @@ class Message:
 
 @dataclass
 class Transcript:
+    """The messages of one run in send order, and the referee's result.
+    The run's streams stay with the caller: the shared one, if any, is
+    rng.child(STREAM_SHARED) of the stream passed to run_protocol."""
+
     setting: Setting
     messages: list[Message] = field(default_factory=list)
     result: object = None
-    shared_seed: tuple | None = None  # (seed, path) of the pre-shared stream
 
 
 class ProtocolViolation(RuntimeError):
@@ -151,10 +154,7 @@ def run_protocol(
     transcript. Deterministic given (seed, setting, strategies)."""
     transport = transport or InprocTransport()
     shared = rng.child(STREAM_SHARED) if shared_randomness else None
-    transcript = Transcript(
-        setting=setting,
-        shared_seed=(shared.seed, shared.path) if shared is not None else None,
-    )
+    transcript = Transcript(setting)
 
     def deliver(sender: Role, receiver: Role, mtype: str, payload):
         round_ = len(transcript.messages) + 1

@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,8 +39,6 @@ __all__ = [
     "DenseBudgetError",
     "check_budget",
     "lift_bytes",
-    "SymBasis",
-    "SymBlockSpectrum",
     "sym_dimension",
     "type_vectors",
     "sym_basis",
@@ -126,21 +123,13 @@ def type_vectors(d: int, k: int) -> list[tuple[int, ...]]:
     return [tuple(c.count(i) for i in range(d)) for c in combos][::-1]
 
 
-@dataclass(frozen=True)
-class SymBasis:
-    """Orthonormal occupation-number basis of the symmetric subspace."""
-
-    d: int
-    k: int
-    types: tuple[tuple[int, ...], ...]
-    vectors: np.ndarray  # shape (d^k, dim), columns orthonormal
-
-
 @functools.lru_cache(maxsize=None)
-def sym_basis(d: int, k: int) -> SymBasis:
-    """Build the occupation-number basis embedded in (C^d)^{⊗k}.
+def sym_basis(d: int, k: int) -> np.ndarray:
+    """The occupation-number basis of Sym^k embedded in (C^d)^{⊗k}: a real
+    (d^k, D) matrix with orthonormal columns, column j the normalised sum
+    of the strings with occupation type_vectors(d, k)[j].
 
-    Cached; callers must not mutate the vectors array."""
+    Cached and returned read-only."""
     n, dim = d**k, sym_dimension(d, k)
     check_budget("sym_basis", 8 * n * dim + _overhead_bytes(d, dim))
     types = type_vectors(d, k)
@@ -153,7 +142,8 @@ def sym_basis(d: int, k: int) -> SymBasis:
         vecs[flat, index[tuple(counts)]] = 1.0
     # column t holds M(t) ones
     vecs /= np.sqrt([float(_multinomial(t)) for t in types])
-    return SymBasis(d, k, tuple(types), vecs)
+    vecs.setflags(write=False)
+    return vecs
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,7 +152,7 @@ def _sym_projector_cached(d: int, k: int) -> np.ndarray:
     # the real product beside the basis, as sym_basis counts it
     check_budget("sym_projector", 8 * n * n + 8 * n * dim + _overhead_bytes(d, dim))
     basis = sym_basis(d, k)
-    p = basis.vectors @ basis.vectors.conj().T
+    p = basis @ basis.T
     p.setflags(write=False)
     return p
 
@@ -235,20 +225,12 @@ def block_dimension(d: int, k: int, t: int) -> int:
     return math.comb(d + k - t - 2, k - t)
 
 
-@dataclass(frozen=True)
-class SymBlockSpectrum:
-    """Per-block coefficient and dimension of the post-measurement state."""
-
-    d: int
-    k: int
-    betas: tuple[float, ...]
-    dims: tuple[int, ...]
-
-
-def block_spectrum(d: int, k: int) -> SymBlockSpectrum:
+def block_spectrum(d: int, k: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """(betas, dims): the post-measurement state's coefficient beta_t and
+    block dimension dim W^t for t = 0..k."""
     betas = tuple(beta_coefficient(d, k, t) for t in range(k + 1))
     dims = tuple(block_dimension(d, k, t) for t in range(k + 1))
-    return SymBlockSpectrum(d, k, betas, dims)
+    return betas, dims
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,7 +291,7 @@ def pi_u_t(u: PureState, k: int, t: int) -> np.ndarray:
     )
     others = [s for s in range(k + 1) if s != t]
     p = _number_polynomial(u.amplitudes, k, others, [t - s for s in others])
-    b = sym_basis(d, k).vectors
+    b = sym_basis(d, k)
     return b @ p @ b.T
 
 
@@ -336,7 +318,7 @@ def rho_u_occupation(u: PureState, k: int) -> DensityMatrix:
 def rho_u_closed_form(u: PureState, k: int) -> DensityMatrix:
     """rho_u_occupation lifted to (C^d)^{⊗k}: B rho B^T."""
     check_budget("rho_u_closed_form", lift_bytes(u.dim**k, sym_dimension(u.dim, k)))
-    b = sym_basis(u.dim, k).vectors
+    b = sym_basis(u.dim, k)
     return DensityMatrix(b @ rho_u_occupation(u, k).matrix @ b.T)
 
 
@@ -428,7 +410,7 @@ def mp_channel(tau: DensityMatrix, d: int, k: int) -> DensityMatrix:
     """
     # projecting tau down holds less than lifting the output up
     check_budget("mp_channel", lift_bytes(d**k, sym_dimension(d, k)))
-    b = sym_basis(d, k).vectors
+    b = sym_basis(d, k)
     x = b.T @ tau.matrix @ b
     tr = float(np.trace(x).real)
     if abs(tr - 1.0) > 1e-9:

@@ -154,8 +154,6 @@ def decode_frame(line: str) -> dict:
 class InprocTransport:
     """Hands each frame line back unchanged, without leaving the process."""
 
-    name = "inproc"
-
     def exchange(self, line: str) -> str:
         # the caller's decode_frame validates the line
         return line
@@ -171,7 +169,6 @@ class TcpTransport:
         host, _, port = addr.rpartition(":")
         if not host or not port.isdigit():
             raise WireError(f"bad tcp address {addr!r}; expected host:port")
-        self.name = f"tcp:{addr}"
         self._sock = socket.create_connection((host, int(port)), timeout=10.0)
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -86,14 +87,14 @@ def test_multicopy_exact_variance_positive_and_below_bound(d, k, f):
     assert exact <= est.multicopy_variance_bound(d, k, f) + 1e-9
 
 
-def _multicopy_variance_fraction(d: int, k: int, f: Fraction) -> Fraction:
+def _multicopy_variance_fraction(d: int, k: int, f: Fraction, c: int = 2) -> Fraction:
     # the closed form written out again in rationals: numerator over
-    # (d+k+1)^2 k^4
+    # (d+k+1)^2 k^4; c != 2 perturbs the coefficient of (d-2+f)^2
     k1, k2 = k + 1, k + 2
     bracket = (
         k2**2 * k1**2 * f**2
         + 4 * k1 * k2 * (1 - f) ** 2
-        + 2 * (d - 2 + f) ** 2
+        + c * (d - 2 + f) ** 2
         + 2 * (d - 2 + f**2)
         + 4 * k1**2 * (1 - f) ** 2
         + 8 * k1 * (1 - f) * (d + 2 * f - 2)
@@ -134,6 +135,31 @@ def test_multicopy_exact_variance_cancellation_case():
     got = est.multicopy_variance_exact(48, 56_460_645, 1.0)
     assert got == float(_multicopy_variance_fraction(48, 56_460_645, Fraction(1)))
     assert est.multicopy_variance_exact(8, 16, 0.5) == 0.1059609375
+
+
+@given(
+    d=st.integers(min_value=2, max_value=10**8),
+    k=st.integers(min_value=1, max_value=10**8),
+    f=overlaps,
+)
+@settings(max_examples=300, deadline=None)
+def test_multicopy_variance_bound_holds_over_the_cli_range(d, k, f):
+    exact = est.multicopy_variance_exact(d, k, f)
+    assert exact <= est.multicopy_variance_bound(d, k, f) * (1 + 1e-12)
+
+
+def test_multicopy_variance_pinned_and_bound_fails_a_perturbed_term():
+    assert est.multicopy_variance_exact(2, 1, 0.0) == 6.5
+    assert est.multicopy_variance_exact(64, 8, 0.25) == 2.09050713079377
+    assert est.multicopy_variance_exact(10**8, 10**8, 1.0) == 3.0000000074999994e-08
+    # 3 (d-2+f)^2 in place of 2 (d-2+f)^2 crosses the bound from d=10 at k=1
+    grid = itertools.product(range(1, 60), range(2, 60), [i / 40 for i in range(41)])
+    first = next(
+        (d, k, f)
+        for k, d, f in grid
+        if _multicopy_variance_fraction(d, k, Fraction(f), c=3) > est.multicopy_variance_bound(d, k, f) * (1 + 1e-12)
+    )
+    assert first == (10, 1, 0.0)
 
 
 def _copies_needed(d: int, eps: float) -> int:

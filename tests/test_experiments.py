@@ -728,7 +728,7 @@ def test_spectrum_check_oracle_within_budget_runs(d, k, monkeypatch):
 
 def _mp_bound_trials(d, k, trials, seed):
     """Each trial's output lifted to (C^d)^{⊗k} by the dense mp_channel."""
-    basis = sym.sym_basis(d, k).vectors
+    basis = sym.sym_basis(d, k)
     n = basis.shape[1]
     root = RngStream(seed)
     outs = []
@@ -858,6 +858,35 @@ def test_cli_usage_error_bad_config(tmp_path):
     bad.write_text('{"trials": 0}')
     code = cli_main(["tracedist-check", "--config", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "experiment,text,field",
+    [
+        ("estimate-multicopy", '{"d": 8.5}', "d"),
+        ("estimate-multicopy", '{"d": 1e400}', "d"),
+        ("estimate-multicopy", '{"transport": 5}', "transport"),
+        ("estimate-singlecopy", '{"m": 3.5}', "m"),
+        ("estimate-singlecopy", '{"n_bases": 1.5}', "n_bases"),
+        ("estimate-multicopy", '{"seed": "7"}', "seed"),
+        ("estimate-multicopy", '{"d": true}', "d"),
+        ("estimate-multicopy", '{"k": 2.5}', "k"),
+        ("estimate-multicopy", '{"out": 1}', "out"),
+        ("estimate-multicopy", '{"eps": false}', "eps"),
+    ],
+)
+def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, experiment, text, field):
+    bad = tmp_path / "cfg.json"
+    bad.write_text(text)
+    assert cli_main([experiment, "--trials", "5", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"dqipe: {field} must be ")
+
+
+def test_config_field_types_accept_what_they_name():
+    cfg = ex.ExperimentConfig("estimate-multicopy", eps=1, f=0, out=None)
+    assert (cfg.eps, cfg.f, cfg.out) == (1, 0, None)
+    assert ex.ExperimentConfig("estimate-multicopy", out="r.json").out == "r.json"
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -353,7 +353,6 @@ def test_multicopy_smp_bit_identical_to_direct():
     assert t.result["w"] == direct.value
     assert t.result["raw"] == direct.raw
     assert validate_transcript(t) == "ok"
-    assert t.shared_seed is None
 
 
 def test_singlecopy_smp_bit_identical_to_direct():
@@ -367,7 +366,6 @@ def test_singlecopy_smp_bit_identical_to_direct():
         )
         assert t.result["w"] == direct.value
         assert t.result["raw"] == direct.raw
-        assert t.shared_seed == (rng.seed, rng.child(est.STREAM_SHARED).path)
 
 
 @pytest.mark.parametrize("n_bases", [1, 3])

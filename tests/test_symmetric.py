@@ -158,8 +158,8 @@ def _rho_u_kron_reference(u, k):
     basis = sym.sym_basis(d, k)
     out = np.zeros((d**k, d**k), dtype=complex)
     for t in range(k + 1):
-        cols = [j for j, tv in enumerate(basis.types) if tv[0] == t]
-        rb = rot_k @ basis.vectors[:, cols]
+        cols = [j for j, tv in enumerate(sym.type_vectors(d, k)) if tv[0] == t]
+        rb = rot_k @ basis[:, cols]
         out += sym.beta_coefficient(d, k, t) * (rb @ rb.conj().T)
     return out
 
@@ -211,13 +211,60 @@ def test_rho_u_occupation_spectrum_without_the_embedded_basis(d, k, monkeypatch)
     # d^k reaches 2^40, so nothing of that size may be built
     monkeypatch.setattr(sym, "sym_basis", _refuse_the_embedded_basis)
     rho = sym.rho_u_occupation(sample_haar_state(d, RngStream(d + k)), k).matrix
-    spec = sym.block_spectrum(d, k)
-    expected = np.sort([b for b, dim in zip(spec.betas, spec.dims) for _ in range(dim)])
+    betas, dims = sym.block_spectrum(d, k)
+    expected = np.sort([b for b, dim in zip(betas, dims) for _ in range(dim)])
     assert np.max(np.abs(np.linalg.eigvalsh(rho) - expected)) <= 1e-14
 
 
 def test_trace_distance_block_k0_is_zero():
     assert sym.trace_distance_rho_u_block(7, 0) == 0.0
+
+
+def _sqrt_d_law():
+    """The one-way lower bound's two sides, from the exact blockwise trace
+    distance TD(d, k). Returns k_min(d) / sqrt(d) outside [0.63, 0.70],
+    where k_min(d) is the least k with TD >= 1/3, and the (d, k) with
+    TD > 1 - e^{-k^2/d}, the measure-and-prepare floor."""
+    band = {}
+    for d in (256, 1024, 4096, 16384):
+        k = 1
+        while sym.trace_distance_rho_u_block(d, k) < 1 / 3:
+            k += 1
+        if not 0.63 <= k / math.sqrt(d) <= 0.70:
+            band[d] = k / math.sqrt(d)
+    above = [
+        (d, k)
+        for d in (2, 3, 4, 8, 16, 64, 256, 1024)
+        for k in range(1, 60)
+        if sym.trace_distance_rho_u_block(d, k) > 1 - math.exp(-k * k / d)
+    ]
+    return band, above
+
+
+def test_one_way_copies_grow_as_sqrt_d_below_the_floor_bound():
+    assert _sqrt_d_law() == ({}, [])
+
+
+def _denominator_shifted(d, k, t):
+    # (t+1)...(t+k) / ((d+k+1)...(d+2k)): the denominator one step off
+    return Fraction(math.prod(range(t + 1, k + t + 1)), math.prod(range(d + k + 1, d + 2 * k + 1)))
+
+
+def _numerator_shifted(d, k, t):
+    # (t+2)...(t+k+1) / ((d+k)...(d+2k-1)): the numerator one step off
+    return Fraction(math.prod(range(t + 2, k + t + 2)), math.prod(range(d + k, d + 2 * k)))
+
+
+@pytest.mark.parametrize(
+    "beta,band_breaks,first_above",
+    [(_denominator_shifted, False, (8, 1)), (_numerator_shifted, True, (2, 9))],
+)
+def test_sqrt_d_law_fails_a_perturbed_block_coefficient(monkeypatch, beta, band_breaks, first_above):
+    # the band misses the shifted denominator, so the bound must catch it
+    monkeypatch.setattr(sym, "beta_coefficient_exact", beta)
+    band, above = _sqrt_d_law()
+    assert bool(band) == band_breaks
+    assert above[0] == first_above
 
 
 def test_mp_channel_trace_and_warning():
