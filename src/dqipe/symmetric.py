@@ -253,8 +253,10 @@ def _number_polynomial(u: np.ndarray, k: int, roots: list[int], scales: list[int
 
     N_u = b^H b counts the factors along u: b = sum_i conj(u_i) a_i is the
     annihilator along u, from Sym^k to Sym^{k-1} (_ladder). Block t of the
-    post-measurement state is N_u's eigenspace for eigenvalue t. Its
-    callers check the budget (_polynomial_bytes).
+    post-measurement state is N_u's eigenspace for eigenvalue t. The
+    product starts from its first factor, so the k factors both callers
+    pass take k - 1 D x D products; with no factor (k = 0) it is the
+    identity. Its callers check the budget (_polynomial_bytes).
     """
     up, amp = _ladder(u.shape[0], k)
     n = sym_dimension(u.shape[0], k)
@@ -262,12 +264,12 @@ def _number_polynomial(u: np.ndarray, k: int, roots: list[int], scales: list[int
     for i, ui in enumerate(u):
         b[np.arange(len(up)), up[:, i]] = amp[:, i] * ui.conjugate()
     num = b.conj().T @ b
-    out = np.eye(n, dtype=complex)
+    out = None
     for root, scale in zip(roots, scales):
         factor = num / scale
         factor.flat[:: n + 1] -= root / scale
-        out = out @ factor
-    return out
+        out = factor if out is None else out @ factor
+    return np.eye(n, dtype=complex) if out is None else out
 
 
 def _polynomial_bytes(d: int, dim: int) -> int:

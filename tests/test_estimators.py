@@ -193,6 +193,87 @@ def test_multicopy_copies_follow_the_papers_rate():
     assert 2.0 <= min(ratios) and max(ratios) <= 5.0
 
 
+def _singlecopy_variance_copy(d: int, m: int, f, p: int = 2):
+    # singlecopy_variance_exact_pure written out again, exact when f is a
+    # Fraction; p != 2 perturbs the power of (d+1) in the one-shot term's
+    # denominator
+    base_var = (d**2 * (1 + f) ** 2 - d * (6 - f) * f + d + 2 * (1 - f) ** 2) / (
+        d * (d + 1) ** p * (d + 2) * (d + 3)
+    )
+    second = (
+        (1 + f) / ((d + 1) * m**2)
+        + (m - 1) * (4 + 8 * f) / (m**2 * (d + 1) * (d + 2))
+        - (2 * m - 1)
+        * (d**2 * (1 + f) ** 2 + 5 * d * (1 + f) ** 2 + 2 * (1 - f) ** 2)
+        / (m**2 * d * (d + 1) * (d + 2) * (d + 3))
+    )
+    return base_var + second
+
+
+# relative error of the float closed form against its rational value; a
+# scan of d in 2..39 and 10^2..10^8, m in 1..39 and 2^6..2^26, f = i/64
+# read at most 1.21e-15 (at d=2, m=5, f=0.984375)
+_SINGLECOPY_REL_TOL = 4e-15
+
+
+@given(
+    d=st.integers(min_value=2, max_value=10**8),
+    m=st.integers(min_value=1, max_value=10**8),
+    f=overlaps,
+)
+@settings(max_examples=300, deadline=None)
+def test_singlecopy_variance_is_its_rational_value_over_the_cli_range(d, m, f):
+    exact = _singlecopy_variance_copy(d, m, Fraction(f))
+    assert exact > 0
+    got = est.singlecopy_variance_exact_pure(d, m, f)
+    assert abs(Fraction(got) - exact) <= _SINGLECOPY_REL_TOL * exact
+
+
+def test_singlecopy_variance_pinned_and_a_perturbed_term_fails():
+    assert est.singlecopy_variance_exact_pure(2, 1, 0.0) == 0.2222222222222222
+    assert est.singlecopy_variance_exact_pure(8, 32, 0.5) == 0.002862918738162879
+    assert est.singlecopy_variance_exact_pure(10**8, 10**8, 1.0) == 9.99999930000003e-24
+    for d, m, f in itertools.product((2, 8, 10**4), (1, 32, 10**4), (0.0, 0.5, 1.0)):
+        wrong = _singlecopy_variance_copy(d, m, Fraction(f), p=3)
+        got = est.singlecopy_variance_exact_pure(d, m, f)
+        assert abs(Fraction(got) - wrong) > _SINGLECOPY_REL_TOL * wrong
+
+
+def _singlecopy_copies_needed(d: int, eps: float, variance=est.singlecopy_variance_exact_pure) -> int:
+    """Least n_bases * m over m = 2^0..2^30, with n_bases = ceil(3 (d+1)^2
+    Var / eps^2) at the worst f of an 11-point grid: enough bases for the
+    mean of the rescaled w_i to lie within eps (Chebyshev at failure
+    probability 1/3)."""
+    grid = [i / 10 for i in range(11)]
+    copies = [
+        math.ceil(3 * (d + 1) ** 2 * max(variance(d, 2**p, f) for f in grid) / eps**2) * 2**p
+        for p in range(31)
+    ]
+    assert min(copies) != copies[-1]  # the best m lies inside the range
+    return min(copies)
+
+
+def _singlecopy_rate_ratios(variance=est.singlecopy_variance_exact_pure) -> list[float]:
+    return [
+        _singlecopy_copies_needed(2**j, 2.0**-e, variance) / max(4.0**e, 2 ** (j / 2) * 2**e)
+        for j in range(2, 21, 2)
+        for e in range(1, 8)
+    ]
+
+
+def test_singlecopy_copies_follow_the_papers_rate():
+    # the same Theta(max(1/eps^2, sqrt(d)/eps)) as the multi-copy estimator,
+    # from 1/eps^2 dominating (small d) to sqrt(d)/eps dominating (large d)
+    ratios = _singlecopy_rate_ratios()
+    assert (min(ratios), max(ratios)) == (4.0, 30.0)
+
+
+def test_singlecopy_rate_band_fails_a_perturbed_variance():
+    # (d+1)^1 in the one-shot term leaves a floor that grows with d
+    ratios = _singlecopy_rate_ratios(lambda d, m, f: _singlecopy_variance_copy(d, m, f, p=1))
+    assert max(ratios) > 30.0
+
+
 def test_born_sample_distribution():
     d = 4
     r = RngStream(33)
