@@ -94,11 +94,6 @@ class DensityMatrix:
 
     PSD means a least eigenvalue >= -PSD_TOL: a Cholesky factorisation of
     matrix + PSD_TOL*I accepts, and when it fails eigvalsh decides.
-
-    An exactly diagonal matrix (every nonzero entry on the diagonal) is
-    decided from its diagonal d: Hermitian iff max|d - conj(d)| <= HERM_TOL
-    and PSD iff min Re d >= -PSD_TOL. These are the verdicts, messages and
-    warnings is_hermitian and _is_psd give it, NaN and inf included.
     """
 
     matrix: np.ndarray
@@ -107,15 +102,12 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        diag = np.diagonal(m)
-        # a NaN counts as nonzero, so one off the diagonal takes the full path
-        diagonal = np.count_nonzero(m) == np.count_nonzero(diag)
-        if not (np.max(np.abs(diag - diag.conj())) <= HERM_TOL if diagonal else is_hermitian(m)):
+        if not is_hermitian(m):
             raise ValueError("density matrix not Hermitian within tolerance")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > HERM_TOL:
             raise ValueError(f"density matrix trace {tr} != 1")
-        if not (np.min(diag.real) >= -PSD_TOL if diagonal else _is_psd(m, PSD_TOL)):
+        if not _is_psd(m, PSD_TOL):
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
 

@@ -1,15 +1,12 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqipe import linalg
 from dqipe.linalg import (
-    HERM_TOL,
     PSD_TOL,
     DensityMatrix,
     PureState,
@@ -160,87 +157,6 @@ def test_density_matrix_keeps_the_input_array_unwritten():
     m.flags.writeable = False  # a write, even a transient one, would raise
     assert DensityMatrix(m).matrix is m
     assert m.tobytes() == before
-
-
-def _verdict(m):
-    """DensityMatrix(m)'s verdict ("ok" or the ValueError message) and the
-    messages of the warnings it gives."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            DensityMatrix(m)
-            verdict = "ok"
-        except ValueError as exc:
-            verdict = str(exc)
-    return verdict, [str(w.message) for w in caught]
-
-
-_NOT_HERMITIAN = "density matrix not Hermitian within tolerance"
-_NEGATIVE = "density matrix has a negative eigenvalue"
-_INVALID = ["invalid value encountered in subtract"]
-# verdicts and warnings of the full path (is_hermitian, then _is_psd) on
-# diagonal inputs, read before diagonal matrices were decided from their
-# diagonal
-_DIAGONAL_VERDICTS = [
-    ([-PSD_TOL, 1 + PSD_TOL], "ok", []),
-    ([np.nextafter(-PSD_TOL, -np.inf), 1 + PSD_TOL], _NEGATIVE, []),
-    ([-0.5, 1.5], _NEGATIVE, []),
-    ([0.5 + 0.5j * HERM_TOL, 0.5], "ok", []),
-    ([0.5 + 1j * np.nextafter(HERM_TOL / 2, np.inf), 0.5], _NOT_HERMITIAN, []),
-    ([0.0, 1.0], "ok", []),
-    ([1.0], "ok", []),
-    ([0.5, 0.6], "density matrix trace 1.1 != 1", []),
-    ([np.nan, 1.0], _NOT_HERMITIAN, []),
-    ([complex(0.5, np.nan), 0.5], _NOT_HERMITIAN, []),
-    ([np.inf, 1.0], _NOT_HERMITIAN, _INVALID),
-    ([-np.inf, 1.0], _NOT_HERMITIAN, _INVALID),
-    ([complex(0.5, np.inf), 0.5], _NOT_HERMITIAN, []),
-]
-
-
-@pytest.mark.parametrize("entries,verdict,warned", _DIAGONAL_VERDICTS)
-def test_diagonal_density_matrix_keeps_the_full_paths_verdict(entries, verdict, warned, monkeypatch):
-    m = np.diag(np.array(entries, dtype=complex))
-    # decided from the diagonal: neither full-path test runs
-    monkeypatch.setattr(linalg, "is_hermitian", None)
-    monkeypatch.setattr(linalg, "_is_psd", None)
-    assert _verdict(m) == (verdict, warned)
-
-
-@given(
-    re=st.lists(st.floats(-3 * PSD_TOL, 1.0, allow_nan=False), min_size=1, max_size=6),
-    im=st.floats(-HERM_TOL, HERM_TOL, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_diagonal_route_agrees_with_the_full_path(re, im):
-    diag = np.array(re, dtype=complex)
-    diag[0] += 1.0 - diag.sum().real
-    diag[-1] += 1j * im
-    m = np.diag(diag)
-    full = is_hermitian(m) and abs(np.trace(m).real - 1.0) <= HERM_TOL and _is_psd(m, PSD_TOL)
-    assert (_verdict(m)[0] == "ok") == full
-
-
-def test_empty_density_matrix_fails_as_the_full_path_does():
-    m = np.zeros((0, 0), dtype=complex)
-    with pytest.raises(ValueError) as full:
-        is_hermitian(m)
-    assert _verdict(m) == (str(full.value), [])
-
-
-def test_one_tiny_off_diagonal_entry_takes_the_full_path(monkeypatch):
-    calls = []
-    for name in ("is_hermitian", "_is_psd"):
-        fn = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    m = np.diag([0.25, 0.75]).astype(complex)
-    DensityMatrix(m)
-    assert calls == []
-    m[0, 1] = 1e-300
-    DensityMatrix(m)
-    assert calls == ["is_hermitian", "_is_psd"]
-    m[0, 1] = np.nan
-    assert _verdict(m) == (_NOT_HERMITIAN, [])
 
 
 def test_density_matrix_rejects_non_hermitian():

@@ -1,9 +1,6 @@
+import functools
 import itertools
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -199,83 +196,43 @@ def test_pi0_matches_reject_probability():
     assert direct == pytest.approx((1 - overlap2(u, psi)) ** k, abs=1e-10)
 
 
-# First 16 hex digits of the sha256 of rho_u_occupation(u, k).matrix over
-# seeds 0..2, and of pi_u_t(u, k, t) over seeds 0..2 and t = 0..k (None:
-# pi_u_t's lift is over the byte budget), u = sample_haar_state(d,
-# RngStream(seed)); read with one BLAS thread before _number_polynomial
-# dropped its identity product
-_PINNED_POLYNOMIALS = {
-    (2, 0): ("de138eb5c75ccc98", "de138eb5c75ccc98"),
-    (2, 1): ("db9d7bb760aa50e7", "81c820d4e19bb89f"),
-    (2, 2): ("313f6378baeb53ff", "a30a3923721ed4a4"),
-    (2, 3): ("801564fd60c925e4", "b739e9d21f493207"),
-    (2, 4): ("fefdfaf606a954db", "f33a1f204f23986f"),
-    (3, 0): ("de138eb5c75ccc98", "de138eb5c75ccc98"),
-    (3, 1): ("1ab43253261dc1ea", "ab1f5db1fd11abf4"),
-    (3, 2): ("560e85dc8544e4b7", "dcdb09d641511bbc"),
-    (3, 3): ("7224ddd5c89dc1e1", "46fcc94962cd1a73"),
-    (3, 4): ("b6c859cd279d8ba8", "affc5bb3e8a9d4ab"),
-    (5, 0): ("de138eb5c75ccc98", "de138eb5c75ccc98"),
-    (5, 1): ("88ff3eedf6a51c24", "94b536f0be7b21bc"),
-    (5, 2): ("5000bf1ba7e50882", "312d7307039cd4c4"),
-    (5, 3): ("e8f95aabe15379e1", "699e0380dc2641bc"),
-    (5, 4): ("f420fc2387b17640", "4444d834f5a3ef56"),
-    (8, 0): ("de138eb5c75ccc98", "de138eb5c75ccc98"),
-    (8, 1): ("45fbd2b6abb70f79", "5aa3ebc68bb6749f"),
-    (8, 2): ("838631720d703fc4", "361bcd895054b288"),
-    (8, 3): ("7135076d4a6787c1", "3fa7cfb22e2f0e2d"),
-    (8, 4): ("0d2ce1f60a07e45c", None),
-    (10, 0): ("de138eb5c75ccc98", "de138eb5c75ccc98"),
-    (10, 1): ("127a9caacb05851f", "09f15ba70ef9a06b"),
-    (10, 2): ("e3bf3da58ffb840d", "038fe4c70fd1e22f"),
-    (10, 3): ("7f45c280afe6d4b4", "2bc7a7401c07e029"),
-    (10, 4): ("120bc29a026c2a35", None),
-}
+def _polynomial_from_the_identity(u, k, roots, scales):
+    """_number_polynomial as it was: the product of its factors with the
+    identity in front. I @ F == F exactly, so dropping that product moves
+    no bit, whatever the BLAS kernel or thread count."""
+    up, amp = sym._ladder(u.shape[0], k)
+    n = sym.sym_dimension(u.shape[0], k)
+    b = np.zeros((len(up), n), dtype=complex)
+    for i, ui in enumerate(u):
+        b[np.arange(len(up)), up[:, i]] = amp[:, i] * ui.conjugate()
+    num = b.conj().T @ b
+    factors = []
+    for root, scale in zip(roots, scales):
+        factor = num / scale
+        factor.flat[:: n + 1] -= root / scale
+        factors.append(factor)
+    return functools.reduce(np.matmul, factors, np.eye(n, dtype=complex))
 
-# A matrix product's bits depend on how many threads BLAS splits it over
-# (at D = 220 and above here), so the digests come from a process held to
-# one thread, as perfbench holds its workers.
-_POLYNOMIAL_DIGESTS = """
-import hashlib, json, sys
-from dqipe import symmetric as sym
-from dqipe.linalg import sample_haar_state
-from dqipe.rng import RngStream
 
-def digest(arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(a.tobytes())
-    return h.hexdigest()[:16]
-
-out = []
-for d, k in json.loads(sys.argv[1]):
+def _polynomial_outputs(d, k):
+    """rho_u_occupation(u, k) and pi_u_t(u, k, t) for every t, u over three
+    seeds; pi_u_t is left out where its lift is over the byte budget."""
     us = [sample_haar_state(d, RngStream(seed)) for seed in range(3)]
-    rho = digest(sym.rho_u_occupation(u, k).matrix for u in us)
+    out = [sym.rho_u_occupation(u, k).matrix for u in us]
     try:
-        pi = digest(sym.pi_u_t(u, k, t) for u in us for t in range(k + 1))
+        out += [sym.pi_u_t(u, k, t) for u in us for t in range(k + 1)]
     except sym.DenseBudgetError:
-        pi = None
-    out.append([d, k, rho, pi])
-print(json.dumps(out))
-"""
+        pass
+    return out
 
 
-@pytest.fixture(scope="module")
-def polynomial_digests():
-    src = os.path.dirname(os.path.dirname(sym.__file__))
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    sizes = json.dumps(sorted(_PINNED_POLYNOMIALS))
-    proc = subprocess.run(
-        [sys.executable, "-c", _POLYNOMIAL_DIGESTS, sizes], env=env, capture_output=True, text=True, check=True
-    )
-    return {(d, k): (rho, pi) for d, k, rho, pi in json.loads(proc.stdout)}
-
-
-@pytest.mark.parametrize("d,k", sorted(_PINNED_POLYNOMIALS))
-def test_number_polynomial_outputs_pinned(d, k, polynomial_digests):
-    assert polynomial_digests[d, k] == _PINNED_POLYNOMIALS[d, k]
+@pytest.mark.parametrize("d,k", list(itertools.product((2, 3, 5, 8, 10), range(5))))
+def test_number_polynomial_keeps_the_identity_starts_bits(d, k, monkeypatch):
+    got = _polynomial_outputs(d, k)
+    monkeypatch.setattr(sym, "_number_polynomial", _polynomial_from_the_identity)
+    want = _polynomial_outputs(d, k)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_rho_u_is_valid_state():
