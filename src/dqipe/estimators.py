@@ -328,7 +328,8 @@ def singlecopy_variance_exact_pure(d: int, m: int, f: float) -> float:
 
 
 def swap_test_variance(f: float, k: int) -> float:
-    return (1.0 - f**2) / k
+    # 1 - f**2 would cancel the rounding of f**2 near f = 1
+    return (1.0 - f) * (1.0 + f) / k
 
 
 def generalized_swap_variance(rho: DensityMatrix, sigma: DensityMatrix, k: int) -> float:

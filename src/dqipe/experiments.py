@@ -289,8 +289,11 @@ def _summary_stats(values: np.ndarray) -> tuple[float, float, float]:
 
 def _mean_gate(mean: float, target: float, se: float) -> tuple[float, bool]:
     """The mean rule: z = |mean - target| / se and whether z <= 4. A sample
-    with no spread (se == 0) has z = 0 and passes."""
-    z = abs(mean - target) / se if se > 0 else 0.0
+    with no spread (se == 0) has z = 0 on its target and z = inf off it."""
+    if se > 0:
+        z = abs(mean - target) / se
+    else:
+        z = 0.0 if mean == target else math.inf
     return z, z <= 4.0
 
 
@@ -572,6 +575,8 @@ def _run_tracedist_check(config: ExperimentConfig, root: RngStream) -> tuple[lis
 
 def _run_moment_check(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
     d = config.d
+    if d < 2:  # a Haar state in C^1 is a phase: every product is exact, up to rounding
+        raise ValueError("moment-check needs d >= 2: in C^1 the moments have no spread to judge")
     g = root.rng
     mats = []
     for _ in range(3):

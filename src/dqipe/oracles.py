@@ -1,4 +1,6 @@
-"""Independent reference computations used only by the test suite.
+"""Independent reference computations. The test suite checks the library
+against them, and two experiments do so at run time: moment-check against
+haar_moment_exact, spectrum-check against rho_u_numeric.
 
 Everything here is computed by a different route than the library code it
 checks: permutation-sum projectors instead of occupation bases, exhaustive

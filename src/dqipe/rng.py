@@ -10,12 +10,14 @@ A stream builds its Generator on the first draw: deriving a child only to
 fork it further, or handing one to a party that never draws, costs no
 SeedSequence hashing.
 
-Building one SeedSequence and its state costs about 25 us, so trial loops
-iterate `stream.trials(n)`, which hands out trials in blocks of TRIAL_BLOCK
-and shares the current block with every stream of the tree. The first
-stream of the block to draw at base + (t,) + sub derives the PCG64 seed
-words of that sub for every trial of the block in one numpy pass
-(`seed_words`, a port of SeedSequence's mixing). Those words are the bits
+Building a Generator from a SeedSequence costs about 12 us, against about
+2 us from seed words already derived, so trial loops iterate
+`stream.trials(n)`, which hands out trials in blocks of TRIAL_BLOCK and
+shares the current block with every stream of the tree. The first stream
+of the block to draw at base + (t,) + sub derives the PCG64 seed words of
+that sub for every trial of the block in one numpy pass (`seed_words`): it
+takes numpy's own SeedSequence(seed, spawn_key=base) pool and ports only
+the mixing of each trial's (t,) + sub into it. Those words are the bits
 SeedSequence(seed, spawn_key=path) would give; any other stream, and any
 path with an entry of 2**32 or more, builds SeedSequence itself. So the
 block can only make a stream cheaper to build, never different.
@@ -30,7 +32,7 @@ import numpy as np
 __all__ = ["RngStream", "TRIAL_BLOCK", "seed_words"]
 
 # Trials per block of RngStream.trials: it amortises seed_words' fixed cost
-# of about 270 us per call. The result does not depend on it.
+# of about 40 us per call. The result does not depend on it.
 TRIAL_BLOCK = 768
 
 # numpy.random.SeedSequence's constants (O'Neill's seed_seq_fe, 4-word pool)
@@ -43,15 +45,6 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list[int]:
-    """n as little-endian 32-bit words, [0] for 0 (SeedSequence's coercion)."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -76,41 +69,27 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def seed_words(seed: int, paths: list[tuple[int, ...]]) -> np.ndarray:
-    """Row i: SeedSequence(seed, spawn_key=paths[i]).generate_state(4, np.uint64).
+def seed_words(seed: int, head: tuple[int, ...], tails: list[tuple[int, ...]]) -> np.ndarray:
+    """Row i: SeedSequence(seed, spawn_key=head + tails[i]).generate_state(4, np.uint64).
 
-    SeedSequence hashes its entropy words into a 4-word pool, then reads the
-    state off the pool. Here every path is one row, and each step of that
-    mixing is one uint32 array operation over all rows. The paths are one
-    or more of a single length, with entries below 2**32 (one entropy word
-    each); OverflowError otherwise."""
-    run = _uint32_words(seed)
-    n = len(paths)
-    # row i: the entropy words past the pool, the seed's beyond its fourth
-    # and then path i
-    tail = np.hstack((
-        np.full((n, max(len(run) - _POOL_SIZE, 0)), run[_POOL_SIZE:], dtype=np.uint32),
-        np.array(paths, dtype=np.uint32).reshape(n, -1),
-    ))
-    # 4 hashes fill the pool, 12 mix it, and 4 per word past the pool
-    hashes = _consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * tail.shape[1])
-    # The seed's first words fill the pool, zero-padded when a spawn key
-    # follows; with no spawn key SeedSequence hashes zeros into the pool's
-    # tail, the same bits. Then all pool words are mixed together so late
-    # bits can affect earlier ones. Both steps are common to every row.
-    pool = _hash(np.array((run + [0] * _POOL_SIZE)[:_POOL_SIZE], dtype=np.uint32), hashes[: _POOL_SIZE + 1])
-    at = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed = _hash(pool[src : src + 1], hashes[at : at + 2])
-                pool[dst : dst + 1] = _mix(pool[dst : dst + 1], hashed)
-                at += 1
-    pool = np.broadcast_to(pool, (n, _POOL_SIZE))
-    # each word past the pool is mixed into every pool word
+    SeedSequence hashes its entropy words (the seed's, then the spawn key's)
+    into a 4-word pool, then reads the state off the pool. Every row shares
+    the seed and head, so it starts from SeedSequence(seed, spawn_key=head)'s
+    pool and mixes in only the tail words, each step one uint32 array
+    operation over all rows. The tails are one or more of a single length;
+    every head and tail entry must be below 2**32 (one entropy word each),
+    OverflowError otherwise."""
+    np.array(head, dtype=np.uint32)  # OverflowError past 32 bits
+    tail = np.array(tails, dtype=np.uint32).reshape(len(tails), -1)
+    pool = np.broadcast_to(np.random.SeedSequence(seed, spawn_key=head).pool, (len(tails), _POOL_SIZE))
+    # the head's pool took 4 hashes to fill, 12 to mix, and 4 per entropy
+    # word past the pool: the seed's beyond its fourth, then the head's
+    words = max(1, -(-seed.bit_length() // 32))
+    at = _POOL_SIZE**2 + _POOL_SIZE * (max(words - _POOL_SIZE, 0) + len(head))
+    hashes = _consts(_INIT_A, _MULT_A, at + _POOL_SIZE * tail.shape[1])[at:]
+    # each tail word is mixed into every pool word
     for j in range(tail.shape[1]):
-        pool = _mix(pool, _hash(tail[:, j : j + 1], hashes[at : at + _POOL_SIZE + 1]))
-        at += _POOL_SIZE
+        pool = _mix(pool, _hash(tail[:, j : j + 1], hashes[_POOL_SIZE * j : _POOL_SIZE * (j + 1) + 1]))
     # generate_state(4, uint64): 8 words cycled from the pool, read as
     # little-endian pairs
     state = _hash(np.tile(pool, 2), _consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
@@ -192,7 +171,7 @@ class RngStream:
             if len(path) > n and lo <= path[n] < hi and path[:n] == base and max(path) <= _MASK32:
                 sub = path[n + 1 :]
                 if sub not in rows:
-                    rows[sub] = seed_words(self.seed, [base + (t,) + sub for t in range(lo, hi)])
+                    rows[sub] = seed_words(self.seed, base, [(t,) + sub for t in range(lo, hi)])
                 seq = _SeedWords(rows[sub][path[n] - lo])
             else:
                 seq = np.random.SeedSequence(self.seed, spawn_key=path)

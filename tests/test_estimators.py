@@ -388,6 +388,33 @@ def test_singlecopy_anchor_value():
     )
 
 
+# relative error of swap_test_variance against (1 - f^2)/k in rationals: four
+# roundings at most; 20,000 uniform f and f = 1 - 2^-j read at most 2.5e-16
+_SWAP_REL_TOL = 4e-16
+
+
+def _swap_rel_error(got: float, f: float, k: int) -> Fraction:
+    exact = (1 - Fraction(f) ** 2) / k
+    return abs(Fraction(got) - exact) / exact if exact else Fraction(abs(got))
+
+
+@given(
+    f=st.one_of(overlaps, st.integers(min_value=1, max_value=53).map(lambda j: 1.0 - 2.0**-j)),
+    k=st.integers(min_value=1, max_value=10**8),
+)
+@settings(max_examples=300, deadline=None)
+def test_swap_test_variance_is_its_rational_value_over_the_cli_range(f, k):
+    assert _swap_rel_error(est.swap_test_variance(f, k), f, k) <= _SWAP_REL_TOL
+
+
+def test_swap_test_variance_without_factoring_fails_near_one():
+    # 1 - f**2 cancels the rounding of f**2: 3.7e-9 relative at f = 1 - 2^-27
+    f = 1.0 - 2.0**-27
+    assert _swap_rel_error(est.swap_test_variance(f, 100), f, 100) <= _SWAP_REL_TOL
+    assert _swap_rel_error((1.0 - f**2) / 100, f, 100) > 1e-9
+    assert est.swap_test_variance(0.5, 100) == 0.0075
+
+
 @given(f=overlaps, seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_generalized_swap_variance_k1_matches_two_outcome_test(f, seed):

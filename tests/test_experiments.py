@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dqipe import estimators as est
 from dqipe import experiments as ex
-from dqipe import linalg, oracles, wire
+from dqipe import linalg, oracles, protocol, wire
 from dqipe import rng as rng_module
 from dqipe import symmetric as sym
 from dqipe.cli import build_parser, main as cli_main
@@ -145,7 +145,7 @@ _PREFETCHED_LOOPS = [
 
 def _streams_with_and_without_blocks(cfg, monkeypatch):
     """cfg's document with RngStream.trials blocks and without them, and how
-    many streams each run built from a block and from SeedSequence."""
+    many streams each run built from a block and from a SeedSequence."""
     built = []
 
     class TableWords(rng_module._SeedWords):
@@ -153,13 +153,16 @@ def _streams_with_and_without_blocks(cfg, monkeypatch):
             built[-1]["table"] += 1
             super().__init__(words)
 
-    class CountedSeedSequence(np.random.SeedSequence):
-        def __init__(self, *args, **kwargs):
-            built[-1]["seed_sequence"] += 1
-            super().__init__(*args, **kwargs)
+    # seed_words builds a SeedSequence for each block's pool, so count the
+    # streams seeded from one, not the SeedSequences built
+    class CountedPCG64(np.random.PCG64):
+        def __init__(self, seed_seq):
+            if isinstance(seed_seq, np.random.SeedSequence):
+                built[-1]["seed_sequence"] += 1
+            super().__init__(seed_seq)
 
     monkeypatch.setattr(rng_module, "_SeedWords", TableWords)
-    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
     # blocks of 7 trials: 20 trials end in a partial block
     monkeypatch.setattr(rng_module, "TRIAL_BLOCK", 7)
 
@@ -417,11 +420,25 @@ def test_variance_gate_band_edges(emp, passed):
 
 
 def test_mean_gate_edges():
-    # a sample with no spread passes whatever its mean
-    assert ex._mean_gate(0.3, 0.5, 0.0) == (0.0, True)
+    # a sample with no spread passes on its target and fails off it
+    assert ex._mean_gate(0.5, 0.5, 0.0) == (0.0, True)
+    assert ex._mean_gate(0.3, 0.5, 0.0) == (math.inf, False)
     assert ex._mean_gate(4.0, 0.0, 1.0) == (4.0, True)
     z, ok = ex._mean_gate(float(np.nextafter(4.0, 5.0)), 0.0, 1.0)
     assert z > 4.0 and not ok
+
+
+@pytest.mark.parametrize("experiment", ["estimate-multicopy", "estimate-singlecopy"])
+def test_mean_gate_passes_d1_estimates_on_target(experiment):
+    # at d=1 every w is exactly f = 1: a sample with no spread, on its target
+    assert cli_main([experiment, "--d", "1", "--f", "1", "--trials", "50"]) == 0
+
+
+def test_mean_gate_fails_a_zero_spread_sample_off_target(monkeypatch):
+    # a referee that reports 0.9 at d=1 gives a sample with no spread whose
+    # mean is off the target f = 1
+    monkeypatch.setattr(protocol, "multicopy_referee", lambda u, v, k: (0.9, 1.0))
+    assert cli_main(["estimate-multicopy", "--d", "1", "--f", "1", "--trials", "50"]) == 1
 
 
 def test_wilson_gate_records_case_2_after_case_1_fails():
@@ -645,6 +662,8 @@ def test_sym_k_checks_pass_at_d1(experiment, capsys):
         ["estimate-singlecopy", "--trials", "1"],
         ["dipe-pi0", "--trials", "1"],
         ["moment-check", "--trials", "1"],
+        # in C^1 the moments are exact up to rounding: no spread to judge
+        ["moment-check", "--d", "1"],
     ],
 )
 def test_cli_run_errors_exit_2_with_one_line(argv, capsys):

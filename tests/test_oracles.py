@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,19 @@ cplx = st.builds(complex, finite, finite)
 def _random_hermitian(d, g):
     z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
     return (z + z.conj().T) / 2
+
+
+def test_oracles_import_nothing_from_dqipe_but_the_budget_guard():
+    # an oracle that shared a computation with the code it checks would
+    # check nothing; nested imports count too
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    from_dqipe = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "dqipe"):
+            from_dqipe.append((node.level, node.module, [a.name for a in node.names]))
+        elif isinstance(node, ast.Import):
+            from_dqipe += [(0, a.name, []) for a in node.names if a.name.split(".")[0] == "dqipe"]
+    assert from_dqipe == [(1, "symmetric", ["check_budget"])]
 
 
 def test_haar_moment_k1_is_normalized_trace():

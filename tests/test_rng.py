@@ -83,34 +83,38 @@ def _seed_sequence_draws(seed, path, n):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path)).random(n)
 
 
+_WORD = st.integers(min_value=0, max_value=2**32 - 1)
+
+
 @given(
     seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(min_value=0, max_value=2**200 - 1)),
-    paths=st.lists(
-        st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=5).map(tuple),
-        min_size=1, max_size=6,
+    head=st.lists(_WORD, max_size=3).map(tuple),
+    tails=st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(_WORD, min_size=n, max_size=n).map(tuple), min_size=1, max_size=6)
     ),
 )
 @settings(max_examples=200, deadline=None)
-def test_seed_words_match_seed_sequence(seed, paths):
-    # a port of numpy's SeedSequence mixing; if numpy changes its algorithm
-    # this fails, and trial blocks would stop giving numpy's bits
-    for length in {len(p) for p in paths}:
-        same = [p for p in paths if len(p) == length]
-        for path, words in zip(same, seed_words(seed, same)):
-            expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
-            assert np.array_equal(words, expected)
-    # each path as a loop's base and as the sub-path of its trials' streams
-    for path in paths:
-        root = RngStream(seed, path)
-        for t in root.trials(3):
-            stream = root.child(t, *path)
+def test_seed_words_match_seed_sequence(seed, head, tails):
+    # numpy's pool for the head plus a port of its mixing for the tails; if
+    # numpy changes its algorithm this fails, and trial blocks would stop
+    # giving numpy's bits
+    for tail, words in zip(tails, seed_words(seed, head, tails)):
+        expected = np.random.SeedSequence(seed, spawn_key=head + tail).generate_state(4, np.uint64)
+        assert np.array_equal(words, expected)
+    # the head as a loop's base, each tail as the sub-path of its trials' streams
+    root = RngStream(seed, head)
+    for t in root.trials(3):
+        for tail in tails:
+            stream = root.child(t, *tail)
             assert _from_block(stream)
             assert np.array_equal(stream.rng.random(4), _seed_sequence_draws(seed, stream.path, 4))
 
 
 def test_path_entries_past_32_bits_fall_back_to_seed_sequence():
     with pytest.raises(OverflowError):
-        seed_words(2**64 + 5, [(7, 2**40)])
+        seed_words(2**64 + 5, (7, 2**40), [(1,)])
+    with pytest.raises(OverflowError):
+        seed_words(2**64 + 5, (7,), [(1,), (2**40,)])
     root = RngStream(2**64 + 5)
     for t in root.trials(8):
         for path, from_block in (((t, 2**40), False), ((t, 1), True)):
