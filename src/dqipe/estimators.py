@@ -16,7 +16,6 @@ shared randomness, 1 is the first party, 2 is the second, 3 the referee.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,8 +106,8 @@ def multicopy_estimate(
     Each party samples the continuous POVM on its k copies; the referee
     rescales the squared overlap of the two outcomes. Unbiased; the value
     is not clamped to [0, 1]. Pure inputs only: mixed states break the
-    calibration, so pass density matrices elsewhere. At d=1 the sampler
-    warns and the estimate is exactly 1.
+    calibration, so pass density matrices elsewhere. At d=1 the estimate
+    is exactly 1 and the record is marked degenerate.
     """
     if isinstance(phi, DensityMatrix) or isinstance(psi, DensityMatrix):
         raise TypeError("multicopy_estimate requires pure states")
@@ -250,8 +249,6 @@ def singlecopy_estimate(
     d = rho.dim
     if n_bases < 1 or m < 1:
         raise ValueError("need n_bases >= 1 and m >= 1")
-    if d == 1:
-        warnings.warn("singlecopy_estimate degenerate at d=1: overlap is exactly 1")
     shared = rng.child(STREAM_SHARED)
     x = singlecopy_outcomes(rho, n_bases, m, shared, rng.child(STREAM_ALICE))
     y = singlecopy_outcomes(sigma, n_bases, m, shared, rng.child(STREAM_BOB))

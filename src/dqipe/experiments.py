@@ -73,7 +73,6 @@ __all__ = [
     "wilson_interval",
     "gen_dipe_instance",
     "gen_problem1_instance",
-    "dipe_threshold_hits",
     "run_experiment",
     "emit_result",
     "parse_result",
@@ -85,7 +84,9 @@ OUTPUT_VERSION = 2
 
 
 def load_defaults() -> dict:
-    """Calibrated constants shipped with the package (see scripts/)."""
+    """Constants shipped with the package. tests/test_threshold_rates.py
+    checks the dipe-threshold ones against the decider's exact success
+    rates."""
     with resources.files("dqipe").joinpath("defaults.json").open() as fh:
         return json.load(fh)
 
@@ -197,23 +198,6 @@ def gen_problem1_instance(
         ))
         for angle, tail in zip(angles, tails)
     )
-
-
-def dipe_threshold_hits(d: int, k: int, case: int, trials: int, root: RngStream) -> int:
-    """Trials of the given case that the threshold decider gets right.
-
-    Trial t draws the instance from root.child(case, t, 0) and the two POVM
-    outcomes from root.child(case, t, 1, STREAM_ALICE / STREAM_BOB); the
-    dipe-threshold experiment and scripts/calibrate_dipe.py both call this,
-    so the calibration replays the experiment's draws."""
-
-    def decide(case: int, t: int, tr: RngStream) -> int:
-        phi, psi = gen_dipe_instance(d, case, tr.child(0))
-        u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
-        v = sym.standard_povm_sample(psi, k, tr.child(1, est.STREAM_BOB))
-        return est.dipe_decide_threshold(u, v, k)
-
-    return _case_hits(case, trials, root, decide)
 
 
 # --- vectorized kernels for the variance checks ---
@@ -383,6 +367,16 @@ def _run_estimate_singlecopy(config: ExperimentConfig, root: RngStream) -> tuple
 
 
 def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list, dict, bool]:
+    """The threshold decider at k = dipe_threshold_c * ceil(sqrt(d)) copies
+    per party.
+
+    At the defaults (d=8, k=24) the exact success rates are p1 = 0.98740 and
+    p2 = 0.94305 (tests/test_threshold_rates.py). At 1000 trials the Wilson
+    gate fails only at <= 695 hits, which Bin(1000, p) reaches with
+    probability about 10^-317.6 in case 1 and 10^-131.7 in case 2. With
+    that much margin the gate cannot see a threshold off by a few percent:
+    0.45 in place of 1/2 moves p2 from 0.943 to 0.924, far above the
+    0.696 the gate needs."""
     defaults = load_defaults()
     min_d = defaults["dipe_threshold_min_d"]
     if config.d < min_d:  # case 2's states overlap by more than 1/2 with probability 2^(1-d)
@@ -391,7 +385,14 @@ def _run_dipe_threshold(config: ExperimentConfig, root: RngStream) -> tuple[list
         math.sqrt(config.d)
     )
     summary: dict = {"k": k}
-    ok = _wilson_gate(summary, config.trials, lambda case: dipe_threshold_hits(config.d, k, case, config.trials, root))
+
+    def decide(case: int, t: int, tr: RngStream) -> int:
+        phi, psi = gen_dipe_instance(config.d, case, tr.child(0))
+        u = sym.standard_povm_sample(phi, k, tr.child(1, est.STREAM_ALICE))
+        v = sym.standard_povm_sample(psi, k, tr.child(1, est.STREAM_BOB))
+        return est.dipe_decide_threshold(u, v, k)
+
+    ok = _wilson_gate(summary, config.trials, lambda case: _case_hits(case, config.trials, root, decide))
     return [], summary, ok
 
 

@@ -191,8 +191,6 @@ def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarr
 
 def standard_povm_sample(phi: PureState, k: int, rng: RngStream) -> PureState:
     """One outcome of the POVM on phi^{⊗k}: povm_samples at n=1."""
-    if phi.dim == 1:
-        warnings.warn("standard_povm_sample degenerate at d=1: outcome is phi up to phase")
     return PureState(povm_samples(phi.amplitudes[None], k, rng.rng)[0])
 
 

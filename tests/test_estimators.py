@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -70,7 +71,8 @@ def test_multicopy_estimates_are_not_clamped():
 
 def test_multicopy_degenerate_d1():
     phi = PureState(np.array([1.0], dtype=complex))
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # d=1 is a supported input
         rec = est.multicopy_estimate(phi, phi, 4, RngStream(0))
     assert rec.value == 1.0 and rec.degenerate
 

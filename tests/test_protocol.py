@@ -2,6 +2,7 @@ import json
 import math
 import socketserver
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -393,9 +394,9 @@ def test_multicopy_smp_equals_direct_at_d1(k):
     a, b, ref = multicopy_smp_strategies(k)
     for seed in range(30):
         phi, psi, rng = _pair(seed=seed, d=1, f=1.0)
-        with pytest.warns(UserWarning, match="degenerate at d=1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # d=1 is a supported input
             direct = est.multicopy_estimate(phi, psi, k, rng)
-        with pytest.warns(UserWarning, match="degenerate at d=1"):
             t = run_protocol(Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng)
         assert t.result["w"] == direct.value == 1.0
         assert t.result["raw"] == direct.raw == 1.0
@@ -406,12 +407,13 @@ def test_singlecopy_smp_equals_direct_at_d1():
     a, b, ref = singlecopy_smp_strategies(1, 2, 16)
     for seed in range(30):
         phi, psi, rng = _pair(seed=seed, d=1, f=1.0)
-        with pytest.warns(UserWarning, match="degenerate at d=1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # d=1 is a supported input
             direct = est.singlecopy_estimate(phi, psi, 2, 16, rng)
-        t = run_protocol(
-            Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
-            shared_randomness=True,
-        )
+            t = run_protocol(
+                Smp(), a, b, ref, {Role.ALICE: phi, Role.BOB: psi}, rng,
+                shared_randomness=True,
+            )
         assert t.result["w"] == direct.value == 1.0
         assert t.result["raw"] == direct.raw == 1.0
         assert direct.degenerate
