@@ -80,8 +80,6 @@ class MulticopyConstants:
 
     slope: float
     offset: float
-    mean_a: float  # intercept of E|<u|v>|^2 = mean_a + mean_b * f
-    mean_b: float
 
     def estimate(self, x):
         """The unbiased estimate for a squared overlap x (scalar or array)."""
@@ -93,9 +91,7 @@ def multicopy_constants(d: int, k: int) -> MulticopyConstants:
         raise ValueError("need d >= 1 and k >= 1")
     slope = (d + k) ** 2 / k**2
     offset = (d + 2 * k) / k**2
-    mean_a = (d + 2 * k) / (d + k) ** 2
-    mean_b = k**2 / (d + k) ** 2
-    return MulticopyConstants(slope, offset, mean_a, mean_b)
+    return MulticopyConstants(slope, offset)
 
 
 def multicopy_estimate(

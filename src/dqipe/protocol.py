@@ -2,12 +2,14 @@
 
 Alice, Bob, and the Referee exchange classical messages under one of
 three settings: simultaneous messages to the referee, a single one-way
-Alice-to-Bob message, or alternating interactive rounds. Strategies are
+Alice-to-Bob message, or alternating interactive rounds; each setting
+class holds the (sender, receiver) edges it allows. Strategies are
 callbacks receiving a PartyContext (own quantum input, own rng stream,
-messages visible so far). Only the parties' messages go over the wire:
-each is checked against the setting's rules before it is encoded, then
-passes through a pluggable transport as one wire frame. The harness
-refuses (WireError) any returned line other than the one it sent, so the
+and the run's one transcript, which all three contexts read their inbox
+from and send into). Only the parties' messages go over the wire: each is
+checked against the setting's rules before it is encoded, then passes
+through a pluggable transport as one wire frame. The harness refuses
+(WireError) any returned line other than the one it sent, so the
 transcript records the message it checked, with the payload the wire
 carried, and the in-process and tcp transports produce identical
 transcripts.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .estimators import (
     STREAM_SHARED, STREAM_ALICE, STREAM_BOB, STREAM_REFEREE,
@@ -59,22 +61,22 @@ class Role(str, enum.Enum):
 class Smp:
     """Both parties send one simultaneous message to the referee."""
 
-    name: str = field(default="smp", init=False)
+    EDGES: ClassVar = frozenset({(Role.ALICE, Role.REFEREE), (Role.BOB, Role.REFEREE)})
 
 
 @dataclass(frozen=True)
 class OneWay:
     """One Alice-to-Bob message, then Bob reports to the referee."""
 
-    name: str = field(default="oneway", init=False)
+    EDGES: ClassVar = frozenset({(Role.ALICE, Role.BOB), (Role.BOB, Role.REFEREE)})
 
 
 @dataclass(frozen=True)
 class Interactive:
     """Alternating Alice/Bob messages, at most max_rounds, then a report."""
 
+    EDGES: ClassVar = Smp.EDGES | OneWay.EDGES | {(Role.BOB, Role.ALICE)}
     max_rounds: int = 2
-    name: str = field(default="interactive", init=False)
 
 
 Setting = Smp | OneWay | Interactive
@@ -105,38 +107,41 @@ class ProtocolViolation(RuntimeError):
     pass
 
 
-_EDGES = {
-    "smp": {(Role.ALICE, Role.REFEREE), (Role.BOB, Role.REFEREE)},
-    "oneway": {(Role.ALICE, Role.BOB), (Role.BOB, Role.REFEREE)},
-    "interactive": {
-        (Role.ALICE, Role.BOB),
-        (Role.BOB, Role.ALICE),
-        (Role.ALICE, Role.REFEREE),
-        (Role.BOB, Role.REFEREE),
-    },
-}
-
-
 class PartyContext:
-    """What one party sees: its input, rng, inbox, and a validated send."""
+    """What one party sees of a run: its input and rng, the messages
+    addressed to it so far, and a send checked against the setting. The
+    three contexts of a run share its transcript and transport."""
 
-    def __init__(self, role: Role, quantum_input, rng: RngStream,
-                 shared: RngStream | None, inbox_fn: Callable[[], list[Message]],
-                 deliver: Callable):
+    def __init__(self, role: Role, quantum_input, rng: RngStream, shared: RngStream | None,
+                 transcript: Transcript, transport, run_id: str):
         self.role = role
         self.input = quantum_input
         self.rng = rng
         self.shared = shared
-        self._inbox_fn = inbox_fn
-        self._deliver = deliver
+        self._transcript = transcript
+        self._transport = transport
+        self._run_id = run_id
 
     @property
     def inbox(self) -> list[Message]:
         """Messages addressed to this party so far."""
-        return self._inbox_fn()
+        return [m for m in self._transcript.messages if m.receiver == self.role]
 
     def send(self, receiver: Role, mtype: str, payload) -> None:
-        self._deliver(self.role, receiver, mtype, payload)
+        messages = self._transcript.messages
+        round_ = len(messages) + 1
+        candidate = Message(round_, self.role, receiver, mtype, payload, 0)
+        verdict = _violation(self._transcript.setting, [*messages, candidate], complete=False)
+        if verdict is not None:
+            raise ProtocolViolation(verdict)
+        line = encode_frame(make_frame(self._run_id, round_, self.role.value, receiver.value, mtype, payload))
+        back = self._transport.exchange(line)
+        frame = decode_frame(back)
+        if back != line:
+            raise WireError(f"round {round_}: the transport returned a line other than the one sent")
+        # the message just checked; its payload is the one the wire carried
+        payload = decode_payload(mtype, frame["payload"])
+        messages.append(Message(round_, self.role, receiver, mtype, payload, len(back.encode("utf-8"))))
 
 
 def run_protocol(
@@ -155,48 +160,23 @@ def run_protocol(
     transport = transport or InprocTransport()
     shared = rng.child(STREAM_SHARED) if shared_randomness else None
     transcript = Transcript(setting)
-
-    def deliver(sender: Role, receiver: Role, mtype: str, payload):
-        round_ = len(transcript.messages) + 1
-        candidate = Message(round_, sender, receiver, mtype, payload, 0)
-        verdict = _violation(setting, [*transcript.messages, candidate], complete=False)
-        if verdict is not None:
-            raise ProtocolViolation(verdict)
-        line = encode_frame(make_frame(run_id, round_, sender.value, receiver.value, mtype, payload))
-        back = transport.exchange(line)
-        frame = decode_frame(back)
-        if back != line:
-            raise WireError(f"round {round_}: the transport returned a line other than the one sent")
-        # the message just checked; its payload is the one the wire carried
-        payload = decode_payload(mtype, frame["payload"])
-        transcript.messages.append(Message(round_, sender, receiver, mtype, payload, len(back.encode("utf-8"))))
-
-    def inbox_for(role: Role) -> list[Message]:
-        return [m for m in transcript.messages if m.receiver == role]
-
-    def ctx(role: Role, stream_idx: int) -> PartyContext:
-        return PartyContext(
-            role, inputs.get(role), rng.child(stream_idx), shared,
-            lambda: inbox_for(role), deliver,
-        )
+    actx, bctx, rctx = (
+        PartyContext(role, inputs.get(role), rng.child(stream), shared, transcript, transport, run_id)
+        for role, stream in zip(Role, (STREAM_ALICE, STREAM_BOB, STREAM_REFEREE))
+    )
 
     if isinstance(setting, (Smp, OneWay)):
-        alice_strategy(ctx(Role.ALICE, STREAM_ALICE))
-        bob_strategy(ctx(Role.BOB, STREAM_BOB))
+        alice_strategy(actx)
+        bob_strategy(bctx)
     else:
-        actx = ctx(Role.ALICE, STREAM_ALICE)
-        bctx = ctx(Role.BOB, STREAM_BOB)
         for turn in range(setting.max_rounds):
             before = len(transcript.messages)
-            (alice_strategy if turn % 2 == 0 else bob_strategy)(
-                actx if turn % 2 == 0 else bctx
-            )
+            (alice_strategy, bob_strategy)[turn % 2]((actx, bctx)[turn % 2])
             sent = transcript.messages[before:]
             if not sent or any(m.receiver == Role.REFEREE for m in sent):
                 break
 
-    transcript.result = referee_strategy(ctx(Role.REFEREE, STREAM_REFEREE))
-
+    transcript.result = referee_strategy(rctx)
     verdict = validate_transcript(transcript)
     if verdict != "ok":
         raise ProtocolViolation(verdict)
@@ -208,19 +188,22 @@ def validate_transcript(t: Transcript) -> str:
     return _violation(t.setting, t.messages, complete=True) or "ok"
 
 
+_SHORT = {Role.ALICE: "A", Role.BOB: "B", Role.REFEREE: "Referee"}
+
+
 def _violation(setting: Setting, messages: list[Message], complete: bool) -> str | None:
     """The first rule of the setting that the messages break, or None.
 
     With complete=False the messages are a run so far, and only what no
     later message could mend is a violation: a missing SMP message or
     one-way report is not."""
-    allowed = _EDGES[setting.name]
     last_round = 0
     for m in messages:
         if m.sender == m.receiver:
             return f"message from {m.sender.value} to itself"
-        if (m.sender, m.receiver) not in allowed:
-            return f"{_edge_label(m)} not allowed in {setting.name.upper()}"
+        if (m.sender, m.receiver) not in setting.EDGES:
+            edge = f"{_SHORT[m.sender]}→{_SHORT[m.receiver]}"
+            return f"{edge} not allowed in {type(setting).__name__.upper()}"
         if m.round < last_round:
             return f"round numbers decrease at round {m.round}"
         last_round = m.round
@@ -241,19 +224,14 @@ def _violation(setting: Setting, messages: list[Message], complete: bool) -> str
         if len(chat) > setting.max_rounds:
             return f"{len(chat)} alternations exceed max_rounds={setting.max_rounds}"
         for i, m in enumerate(chat):
-            want = Role.ALICE if i % 2 == 0 else Role.BOB
-            if m.sender != want:
-                return f"alternation broken at message {i}: {m.sender.value} sent twice"
+            if m.sender != (Role.ALICE if i % 2 == 0 else Role.BOB):
+                why = f"{m.sender.value} sent twice" if i else "alice must send first"
+                return f"alternation broken at message {i}: {why}"
         if len(reports) > 1:
             return "more than one report to the referee"
         if reports and messages[-1] is not reports[0]:
             return "report to the referee must be the last message"
     return None
-
-
-def _edge_label(m: Message) -> str:
-    short = {Role.ALICE: "A", Role.BOB: "B", Role.REFEREE: "Referee"}
-    return f"{short[m.sender]}→{short[m.receiver]}"
 
 
 def transcript_cost(t: Transcript) -> tuple[int, int]:
@@ -287,9 +265,7 @@ def singlecopy_smp_strategies(d: int, n_bases: int, m: int):
 
     def party(ctx: PartyContext):
         if ctx.shared is None:
-            raise ValueError(
-                "single-copy strategies need shared_randomness=True (the measurement bases)"
-            )
+            raise ValueError("single-copy strategies need shared_randomness=True (the measurement bases)")
         if ctx.input.dim != d:
             raise ValueError(
                 f"{ctx.role.value}'s input has dimension {ctx.input.dim}, strategies built for d={d}"

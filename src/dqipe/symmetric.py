@@ -147,7 +147,10 @@ def sym_basis(d: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _sym_projector_cached(d: int, k: int) -> np.ndarray:
+def sym_projector(d: int, k: int) -> np.ndarray:
+    """Orthogonal projector onto the symmetric subspace of (C^d)^{⊗k}.
+
+    Cached and returned read-only; copy before mutating."""
     n, dim = d**k, sym_dimension(d, k)
     # the real product beside the basis, as sym_basis counts it
     check_budget("sym_projector", 8 * n * n + 8 * n * dim + _overhead_bytes(d, dim))
@@ -155,13 +158,6 @@ def _sym_projector_cached(d: int, k: int) -> np.ndarray:
     p = basis @ basis.T
     p.setflags(write=False)
     return p
-
-
-def sym_projector(d: int, k: int) -> np.ndarray:
-    """Orthogonal projector onto the symmetric subspace of (C^d)^{⊗k}.
-
-    Cached and returned read-only; copy before mutating."""
-    return _sym_projector_cached(d, k)
 
 
 def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:

@@ -206,6 +206,11 @@ class _EchoHandler(socketserver.StreamRequestHandler):
             self.wfile.write(raw)
 
 
+# How often the collector's serve loop checks for shutdown: stop() waits
+# out at most one poll (socketserver's default is 0.5 s).
+_POLL_S = 0.05
+
+
 class FrameCollectorServer:
     """Threaded line server that validates, logs, and echoes frames.
 
@@ -225,7 +230,7 @@ class FrameCollectorServer:
 
         self._server = _Server((host, port), _EchoHandler)
         self._server.frames = []
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(_POLL_S,), daemon=True)
 
     @property
     def address(self) -> str:

@@ -40,7 +40,9 @@ def test_multicopy_unbiased_and_raw_mean():
     se = w.std(ddof=1) / math.sqrt(n)
     assert w.mean() == pytest.approx(f, abs=4 * se)
     c = est.multicopy_constants(d, k)
-    assert raw.mean() == pytest.approx(c.mean_a + c.mean_b * f, abs=5 * se / c.slope)
+    # E|<u|v>|^2 = ((d + 2k) + k^2 f) / (d + k)^2
+    raw_mean = ((d + 2 * k) + k**2 * f) / (d + k) ** 2
+    assert raw.mean() == pytest.approx(raw_mean, abs=5 * se / c.slope)
 
 
 def test_multicopy_rejects_mixed_and_bad_args():

@@ -212,7 +212,7 @@ def _cli_against_peer(answer, capsys) -> str:
         daemon_threads = True
 
     server = _Server(("127.0.0.1", 0), _Answer)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(wire._POLL_S,), daemon=True).start()
     try:
         host, port = server.server_address[:2]
         argv = ["estimate-multicopy", "--trials", "2", "--transport", f"tcp:{host}:{port}"]
@@ -332,6 +332,60 @@ def test_interactive_rejects_excess_alternations():
     ]
     t = Transcript(Interactive(max_rounds=3), msgs)
     assert "exceed max_rounds" in validate_transcript(t)
+
+
+def test_interactive_bob_opening_is_not_called_sending_twice():
+    t = Transcript(Interactive(), [_msg(Role.BOB, Role.ALICE)])
+    assert validate_transcript(t) == "alternation broken at message 0: alice must send first"
+
+
+_A, _B, _R = Role.ALICE, Role.BOB, Role.REFEREE
+_ONE_MESSAGE_VERDICTS = {
+    "SMP": {
+        (_A, _A): "message from alice to itself",
+        (_A, _B): "A→B not allowed in SMP",
+        (_A, _R): "bob sent 0 messages in SMP, expected 1",
+        (_B, _A): "B→A not allowed in SMP",
+        (_B, _B): "message from bob to itself",
+        (_B, _R): "alice sent 0 messages in SMP, expected 1",
+        (_R, _A): "Referee→A not allowed in SMP",
+        (_R, _B): "Referee→B not allowed in SMP",
+        (_R, _R): "message from referee to itself",
+    },
+    "ONEWAY": {
+        (_A, _A): "message from alice to itself",
+        (_A, _B): "one-way requires exactly A→B then B→Referee",
+        (_A, _R): "A→Referee not allowed in ONEWAY",
+        (_B, _A): "B→A not allowed in ONEWAY",
+        (_B, _B): "message from bob to itself",
+        (_B, _R): "one-way requires exactly A→B then B→Referee",
+        (_R, _A): "Referee→A not allowed in ONEWAY",
+        (_R, _B): "Referee→B not allowed in ONEWAY",
+        (_R, _R): "message from referee to itself",
+    },
+    "INTERACTIVE": {
+        (_A, _A): "message from alice to itself",
+        (_A, _B): "ok",
+        (_A, _R): "ok",
+        (_B, _A): "alternation broken at message 0: alice must send first",
+        (_B, _B): "message from bob to itself",
+        (_B, _R): "ok",
+        (_R, _A): "Referee→A not allowed in INTERACTIVE",
+        (_R, _B): "Referee→B not allowed in INTERACTIVE",
+        (_R, _R): "message from referee to itself",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "setting", [Smp(), OneWay(), Interactive()], ids=lambda s: type(s).__name__.upper()
+)
+def test_one_message_verdicts_edge_by_edge(setting):
+    verdicts = {
+        (sender, receiver): validate_transcript(Transcript(setting, [_msg(sender, receiver)]))
+        for sender in Role for receiver in Role
+    }
+    assert verdicts == _ONE_MESSAGE_VERDICTS[type(setting).__name__.upper()]
 
 
 def test_validator_rejects_self_message():

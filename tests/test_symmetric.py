@@ -446,7 +446,7 @@ def _estimate_and_peak(monkeypatch, build):
     monkeypatch.setattr(sym, "check_budget", spy)
     monkeypatch.setattr(oracles, "check_budget", spy)
     sym.sym_basis.cache_clear()
-    sym._sym_projector_cached.cache_clear()
+    sym.sym_projector.cache_clear()
     sym._ladder.cache_clear()
     tracemalloc.start()
     try:
