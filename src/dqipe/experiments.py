@@ -213,23 +213,26 @@ def _singlecopy_w_batch(d: int, m: int, f: float, n: int, g: np.random.Generator
     All Gaussians are drawn first: the state pairs, all real parts of the
     Ginibre matrices, then their imaginary parts row block by row block
     (linalg.row_blocks), each block factored as it arrives, so that only
-    the Born probabilities are kept. A block holds as many d x d matrices
-    as ROW_BLOCK does at d=8, so its bytes do not grow with d. Then each
-    ROW_BLOCK of trials makes one multinomial call on its (trial, party,
-    outcome) probabilities, which numpy walks in C order: trial i's Alice
-    counts, then its Bob counts, as a per-trial loop would draw them.
-    LAPACK factors each matrix on its own, so no bit depends on a block.
+    the Born probabilities are kept, written over phi's bytes. A block
+    holds 16 ROW_BLOCK // d^2 matrices, at most ROW_BLOCK (512 at d=8), so
+    its bytes do not grow with d. Then each ROW_BLOCK of trials makes one
+    multinomial call on its (trial, party, outcome) probabilities, which
+    numpy walks in C order: trial i's Alice counts, then its Bob counts, as
+    a per-trial loop would draw them. LAPACK factors each matrix on its
+    own, so no bit depends on a block.
 
-    Peak bytes, from the shapes: at most 8nd^2 + 48nd + 8n held (the real
-    parts, the pair, the probabilities), plus 80bd^2 for one block of
-    b = min(n, ROW_BLOCK, max(1, 64 ROW_BLOCK // d^2)) matrices (its
-    Gaussians and QR), 64Bd for the row steps over B = min(n, ROW_BLOCK)
-    trials (the pair's, the Born step's, the counts') and 16 KiB of fixed
-    allocations; 1.48 kB a trial at d=8, n=20000."""
+    Peak bytes, from the shapes: at most 8nd^2 + 32nd + 8n held (the real
+    parts, the pair whose phi then holds the probabilities, the estimates),
+    plus 80bd^2 for one block of b = min(n, ROW_BLOCK, max(1, 16 ROW_BLOCK
+    // d^2)) matrices (its Gaussians and QR), 96bd for its Born step (the
+    stacked pair, its conjugate, the amplitudes) and 16 KiB of fixed
+    allocations; 928 B a trial at d=8, n=20000, and 10.3 kB at d=33,
+    n=5000."""
     phi, psi = est.state_pairs(d, f, n, g)
     real = g.standard_normal((n, d, d))
-    probs = np.empty((n, 2, d))
-    rows = min(ROW_BLOCK, max(1, ROW_BLOCK * 64 // d**2))
+    # the probabilities take phi's bytes: np.stack copies a block's pair first
+    probs = phi.view(np.float64).reshape(n, 2, d)
+    rows = min(ROW_BLOCK, max(1, ROW_BLOCK * 16 // d**2))
     for p, a, b, r in row_blocks(probs, phi, psi, real, rows=rows):
         z = complex_normals(r.shape, g, r)
         p[...] = est.pure_born_probabilities(haar_unitaries(z), np.stack([a, b], axis=1))
@@ -245,16 +248,17 @@ def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator)
     """Multi-copy estimates of n trials: state pairs, then Alice's POVM
     outcomes, then Bob's.
 
-    Peak bytes, from the shapes: at most 56nd + 56n + 32d ROW_BLOCK. The
-    first term is reached while Bob's Gaussians are drawn: psi, u and v's
-    complex (n, d) arrays and one (n, d) float draw (phi is released
-    before). The second covers the per-row Beta, phase and coefficient
-    arrays, the third the row updates' temporaries; 530 B a trial at d=8,
+    Peak bytes, from the shapes: at most 40nd + 40n + 36dB + 192 KiB, with
+    B = min(n, ROW_BLOCK). The first term is reached while Bob's real parts
+    are held: u (written over phi) and psi, complex (n, d), and the (n, d)
+    float draw. The second covers the per-row Beta and phase arrays, or
+    the state pair's per-row dot products and norms; the third one row
+    block's Gaussians, the product beside them and their per-row
+    coefficients; the last numpy's buffers; 399 B a trial at d=8,
     n=20000."""
     phi, psi = est.state_pairs(d, f, n, g)
-    u = sym.povm_samples(phi, k, g)
-    del phi
-    v = sym.povm_samples(psi, k, g)
+    u = sym.povm_samples(phi, k, g)  # written over phi
+    v = sym.povm_samples(psi, k, g)  # written over psi
     return est.multicopy_constants(d, k).estimate(squared_overlaps(u, v))
 
 

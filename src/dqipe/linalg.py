@@ -7,7 +7,11 @@ All eigenvalue work goes through Hermitian-specialized routines.
 The samplers work on (n, d) arrays, one row per draw, and the scalar entry
 points are their n=1 calls. The order in which they draw from the
 Generator is part of every seeded output: reordering, batching or resizing
-a draw changes every gate statistic.
+a draw changes every gate statistic. Splitting one draw into consecutive
+row blocks keeps its bits: Generator.standard_normal of shape (n, ...)
+gives the numbers of its row blocks' calls made in row order, so a sampler
+may fill a large array block by block without holding a whole-array
+temporary.
 """
 
 from __future__ import annotations
@@ -130,23 +134,31 @@ ROW_BLOCK = 2048
 def row_blocks(*arrays, rows: int = ROW_BLOCK):
     """Views of `rows` leading rows of each array at a time, as tuples for a
     loop of in-place updates (the arrays themselves when they are no
-    longer)."""
+    longer). Each block's views are made when the loop reaches it."""
     n = len(arrays[0])
     if n <= rows:
         return (arrays,)
-    return [tuple(a[lo : lo + rows] for a in arrays) for lo in range(0, n, rows)]
+    return (tuple(a[lo : lo + rows] for a in arrays) for lo in range(0, n, rows))
 
 
 def complex_normals(shape, g: np.random.Generator, real: np.ndarray | None = None) -> np.ndarray:
     """Standard complex Gaussians of the given shape: all real parts, then
-    all imaginary parts.
+    all imaginary parts, each drawn ROW_BLOCK rows at a time into its place.
 
     Block form: given `real`, the real parts of these rows taken from one
     earlier draw for all rows, it draws only the imaginary parts. Drawing
     the blocks in row order then gives the bits of one call."""
     z = np.empty(shape, dtype=complex)
-    z.real = g.standard_normal(shape) if real is None else real
-    z.imag = g.standard_normal(shape)
+    if real is not None:
+        z.real = real
+        z.imag = g.standard_normal(shape)
+        return z
+    for part in (z.real, z.imag):
+        if len(part) <= ROW_BLOCK:  # one block, without the loop's cost at n=1
+            part[...] = g.standard_normal(shape)
+            continue
+        for (rows,) in row_blocks(part):
+            rows[...] = g.standard_normal(rows.shape)
     return z
 
 
@@ -156,6 +168,14 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _orthogonal_unit_rows(z: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """z with row i made orthogonal to the unit vector states[i], then scaled
+    to unit norm, in place."""
+    for z_rows, s_rows, c_rows in row_blocks(z, states, np.vecdot(states, z)):
+        z_rows -= s_rows * c_rows[:, None]
+    return _unit_rows(z)
+
+
 def haar_states(d: int, n: int, g: np.random.Generator) -> np.ndarray:
     """n Haar random unit vectors in C^d, as the rows of an (n, d) array."""
     return _unit_rows(complex_normals((n, d), g))
@@ -163,10 +183,7 @@ def haar_states(d: int, n: int, g: np.random.Generator) -> np.ndarray:
 
 def orthogonal_units(states: np.ndarray, g: np.random.Generator) -> np.ndarray:
     """Row i: a Haar random unit vector orthogonal to the unit vector states[i]."""
-    z = complex_normals(states.shape, g)
-    for z_rows, s_rows, c_rows in row_blocks(z, states, np.vecdot(states, z)):
-        z_rows -= s_rows * c_rows[:, None]
-    return _unit_rows(z)
+    return _orthogonal_unit_rows(complex_normals(states.shape, g), states)
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:

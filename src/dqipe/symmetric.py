@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, orthogonal_units, row_blocks
+from .linalg import PureState, DensityMatrix, _orthogonal_unit_rows, complex_normals, row_blocks
 from .rng import RngStream
 
 __all__ = [
@@ -162,32 +162,41 @@ def sym_projector(d: int, k: int) -> np.ndarray:
 
 def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
     """Row i: an outcome of the continuous symmetric-subspace POVM on
-    states[i]^{⊗k}, for unit rows of an (n, d) array.
+    states[i]^{⊗k}, for unit rows of an (n, d) array. Each outcome is
+    written over its row of states, and states is returned.
 
     The outcome u has density C(d+k-1,k)|<phi|u>|^{2k} du. No rejection:
     the squared overlap with phi is a Beta(k+1, d-1) draw, the relative
     phase is uniform, and the orthogonal component is Haar in the
     orthocomplement of phi. k=0 reduces to a Haar-uniform draw. At d=1
     the outcome is phi up to a uniform phase.
+
+    Draws: the Beta values, the phases, all real parts of the orthogonal
+    components' Gaussians, then their imaginary parts one row block at a
+    time (complex_normals' block form), each block finished and written
+    back as it arrives.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     n, d = states.shape
     if d == 1:
-        return states * np.exp(1j * g.uniform(0.0, 2.0 * math.pi, size=n))[:, None]
+        states *= np.exp(1j * g.uniform(0.0, 2.0 * math.pi, size=n))[:, None]
+        return states
     a2 = g.beta(k + 1, d - 1, size=n)
     theta = g.uniform(0.0, 2.0 * math.pi, size=n)
-    u = orthogonal_units(states, g)
-    u *= np.sqrt(1.0 - a2)[:, None]
-    coef = np.sqrt(a2) * np.exp(1j * theta)
-    for u_rows, c_rows, s_rows in row_blocks(u, coef, states):
-        u_rows += c_rows[:, None] * s_rows
-    return u
+    real = g.standard_normal((n, d))
+    for s_rows, r_rows, a_rows, t_rows in row_blocks(states, real, a2, theta):
+        u = _orthogonal_unit_rows(complex_normals(r_rows.shape, g, r_rows), s_rows)
+        u *= np.sqrt(1.0 - a_rows)[:, None]
+        u += (np.sqrt(a_rows) * np.exp(1j * t_rows))[:, None] * s_rows
+        s_rows[...] = u
+        del u  # or the next block's Gaussians arrive beside it
+    return states
 
 
 def standard_povm_sample(phi: PureState, k: int, rng: RngStream) -> PureState:
-    """One outcome of the POVM on phi^{⊗k}: povm_samples at n=1."""
-    return PureState(povm_samples(phi.amplitudes[None], k, rng.rng)[0])
+    """One outcome of the POVM on phi^{⊗k}: povm_samples at n=1, on a copy."""
+    return PureState(povm_samples(phi.amplitudes[None].copy(), k, rng.rng)[0])
 
 
 def beta_coefficient_exact(d: int, k: int, t: int) -> Fraction:

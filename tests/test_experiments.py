@@ -258,9 +258,24 @@ class _Recorder:
         return draw
 
 
+def _whole_draws(draws, n):
+    """The recorded draws with consecutive calls of one method whose rows add
+    up to n joined into one draw: a sampler may draw in row blocks."""
+    whole, parts = [], []
+    for name, out in draws:
+        assert not parts or parts[0][0] == name
+        parts.append((name, out))
+        if sum(len(part) for _, part in parts) == n:
+            whole.append((name, np.concatenate([part for _, part in parts])))
+            parts = []
+    assert not parts
+    return whole
+
+
 class _RowReplay:
     """Stands in for a Generator: each draw returns row i of the next
-    recorded draw, which must have been made by the same method."""
+    recorded draw (_whole_draws), which must have been made by the same
+    method."""
 
     def __init__(self, draws, i):
         self._rows = iter((name, out[i : i + 1]) for name, out in draws)
@@ -284,9 +299,10 @@ def test_multicopy_batch_rows_equal_the_protocol_steps(d, k, f, n):
     # referee calls that the direct API and the strategies make
     rec = _Recorder(np.random.default_rng([d, k]))
     w = ex._multicopy_w_batch(d, k, f, n, rec)
+    draws = _whole_draws(rec.draws, n)
     steps = np.empty(n)
     for i in range(n):
-        stream = types.SimpleNamespace(rng=_RowReplay(rec.draws, i))
+        stream = types.SimpleNamespace(rng=_RowReplay(draws, i))
         phi, psi = est.make_state_pair(d, f, stream)
         u = sym.standard_povm_sample(phi, k, stream)
         v = sym.standard_povm_sample(psi, k, stream)
@@ -323,13 +339,14 @@ def _traced_peak(kernel, d, param, f, n):
 
 
 def test_batch_kernels_peak_under_their_stated_bytes():
-    # the bounds of the kernels' docstrings; whole-run temporaries break them,
-    # and so does a single-copy block counted in trials at d=33
+    # the bounds of the kernels' docstrings; a whole-run temporary breaks
+    # them, and so does a single-copy block of 4x the matrices or counted in
+    # trials at d=33
     for n, d in [(20_000, 8), (5_000, 33)]:
         big = min(n, linalg.ROW_BLOCK)
-        b = min(big, max(1, 64 * linalg.ROW_BLOCK // d**2))
-        multicopy = 56 * n * d + 56 * n + 32 * d * linalg.ROW_BLOCK
-        singlecopy = 8 * n * d * d + 48 * n * d + 8 * n + 80 * b * d * d + 64 * big * d + 16 * 1024
+        b = min(big, max(1, 16 * linalg.ROW_BLOCK // d**2))
+        multicopy = 40 * n * d + 40 * n + 36 * d * big + 192 * 1024
+        singlecopy = 8 * n * d * d + 32 * n * d + 8 * n + 80 * b * d * d + 96 * b * d + 16 * 1024
         assert _traced_peak(ex._multicopy_w_batch, d, 16, 0.5, n) <= multicopy
         assert _traced_peak(ex._singlecopy_w_batch, d, 32, 0.5, n) <= singlecopy
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dqipe.linalg import (
     PSD_TOL,
+    ROW_BLOCK,
     DensityMatrix,
     PureState,
     dmax,
@@ -63,6 +65,46 @@ def test_orthocomplement_draws_are_haar():
     assert np.max(weights[:, 0]) <= 1e-24
     se = weights[:, 1].std(ddof=1) / math.sqrt(n)
     assert weights[:, 1].mean() == pytest.approx(1 / (d - 1), abs=4 * se)
+
+
+@pytest.mark.parametrize("shape", [(2 * ROW_BLOCK + 1, 3), (2 * ROW_BLOCK + 1, 3, 3)])
+def test_normal_draws_split_into_row_blocks_keep_their_bits(shape):
+    # the numpy property the samplers rest on: consecutive row blocks of a
+    # standard_normal draw are the numbers of one draw, and leave the
+    # generator where it leaves it
+    whole, split = np.random.default_rng(17), np.random.default_rng(17)
+    want = whole.standard_normal(shape)
+    blocks = [split.standard_normal((rows,) + shape[1:]) for rows in (ROW_BLOCK, ROW_BLOCK, 1)]
+    got = np.concatenate(blocks)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert split.random() == whole.random()
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK, 2 * ROW_BLOCK + 1])
+def test_complex_normals_are_one_real_draw_then_one_imaginary_draw(n):
+    g, ref = np.random.default_rng([n]), np.random.default_rng([n])
+    z = complex_normals((n, 5), g)
+    real = ref.standard_normal((n, 5))
+    assert np.array_equal(z.real, real)
+    assert np.array_equal(z.imag, ref.standard_normal((n, 5)))
+    # the block form, given those real parts, draws the same imaginary parts
+    ref = np.random.default_rng([n])
+    ref.standard_normal((n, 5))
+    assert np.array_equal(complex_normals((n, 5), ref, real), z)
+
+
+def test_complex_normals_hold_no_whole_array_float_temporary():
+    n, d = 10 * ROW_BLOCK, 8
+    g = np.random.default_rng(0)
+    complex_normals((10, d), g)
+    tracemalloc.start()
+    try:
+        complex_normals((n, d), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, one row block's draw and 16 KiB; a whole float draw adds 8nd
+    assert peak <= 16 * n * d + 8 * ROW_BLOCK * d + 16 * 1024
 
 
 @pytest.mark.parametrize("d", [1, 2, 7])

@@ -97,6 +97,23 @@ def test_povm_sample_overlap_moments():
     assert xs.var() == pytest.approx(var, rel=0.08)
 
 
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_povm_outcomes_overwrite_the_batch_and_leave_a_state_alone(d):
+    # povm_samples writes each outcome over its row and returns that array;
+    # standard_povm_sample works on a copy, so one PureState may be handed
+    # to both parties (gen_dipe_instance's case 1)
+    phi = sample_haar_state(d, RngStream(4, (0,)))
+    before = phi.amplitudes.copy()
+    u = sym.standard_povm_sample(phi, 3, RngStream(4, (1,)))
+    assert np.array_equal(phi.amplitudes.view(np.float64), before.view(np.float64))
+    for n in (1, 5):
+        states = np.array([phi.amplitudes] * n)
+        out = sym.povm_samples(states, 3, RngStream(4, (1,)).rng)
+        assert out is states
+    again = sym.povm_samples(before[None].copy(), 3, RngStream(4, (1,)).rng)
+    assert np.array_equal(again[0], u.amplitudes)
+
+
 def test_povm_sample_k0_is_haar():
     # k=0 carries no information about phi: overlap moments must match a
     # Haar draw, E x = 1/d
