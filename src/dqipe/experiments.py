@@ -249,13 +249,13 @@ def _multicopy_w_batch(d: int, k: int, f: float, n: int, g: np.random.Generator)
     outcomes, then Bob's.
 
     Peak bytes, from the shapes: at most 40nd + 40n + 36dB + 192 KiB, with
-    B = min(n, ROW_BLOCK). The first term is reached while Bob's real parts
-    are held: u (written over phi) and psi, complex (n, d), and the (n, d)
-    float draw. The second covers the per-row Beta and phase arrays, or
-    the state pair's per-row dot products and norms; the third one row
-    block's Gaussians, the product beside them and their per-row
-    coefficients; the last numpy's buffers; 399 B a trial at d=8,
-    n=20000."""
+    B = min(n, ROW_BLOCK, max(1, 8 ROW_BLOCK // d)) the rows of one POVM
+    block. The first term is reached while Bob's real parts are held: u
+    (written over phi) and psi, complex (n, d), and the (n, d) float draw.
+    The second covers the per-row Beta and phase arrays, or the state
+    pair's per-row dot products and norms; the third one block's
+    Gaussians, the product beside them and their per-row coefficients; the
+    last numpy's buffers; 399 B a trial at d=8, n=20000."""
     phi, psi = est.state_pairs(d, f, n, g)
     u = sym.povm_samples(phi, k, g)  # written over phi
     v = sym.povm_samples(psi, k, g)  # written over psi

@@ -134,11 +134,11 @@ ROW_BLOCK = 2048
 def row_blocks(*arrays, rows: int = ROW_BLOCK):
     """Views of `rows` leading rows of each array at a time, as tuples for a
     loop of in-place updates (the arrays themselves when they are no
-    longer). Each block's views are made when the loop reaches it."""
+    longer)."""
     n = len(arrays[0])
     if n <= rows:
         return (arrays,)
-    return (tuple(a[lo : lo + rows] for a in arrays) for lo in range(0, n, rows))
+    return [tuple(a[lo : lo + rows] for a in arrays) for lo in range(0, n, rows)]
 
 
 def complex_normals(shape, g: np.random.Generator, real: np.ndarray | None = None) -> np.ndarray:
@@ -154,9 +154,6 @@ def complex_normals(shape, g: np.random.Generator, real: np.ndarray | None = Non
         z.imag = g.standard_normal(shape)
         return z
     for part in (z.real, z.imag):
-        if len(part) <= ROW_BLOCK:  # one block, without the loop's cost at n=1
-            part[...] = g.standard_normal(shape)
-            continue
         for (rows,) in row_blocks(part):
             rows[...] = g.standard_normal(rows.shape)
     return z

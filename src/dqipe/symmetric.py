@@ -30,7 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PureState, DensityMatrix, _orthogonal_unit_rows, complex_normals, row_blocks
+from .linalg import (
+    ROW_BLOCK, PureState, DensityMatrix, _orthogonal_unit_rows, complex_normals, row_blocks,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -174,7 +176,8 @@ def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarr
     Draws: the Beta values, the phases, all real parts of the orthogonal
     components' Gaussians, then their imaginary parts one row block at a
     time (complex_normals' block form), each block finished and written
-    back as it arrives.
+    back as it arrives. A block holds 8 ROW_BLOCK // d rows, at most
+    ROW_BLOCK, so its bytes do not grow with d.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -185,7 +188,8 @@ def povm_samples(states: np.ndarray, k: int, g: np.random.Generator) -> np.ndarr
     a2 = g.beta(k + 1, d - 1, size=n)
     theta = g.uniform(0.0, 2.0 * math.pi, size=n)
     real = g.standard_normal((n, d))
-    for s_rows, r_rows, a_rows, t_rows in row_blocks(states, real, a2, theta):
+    rows = min(ROW_BLOCK, max(1, 8 * ROW_BLOCK // d))
+    for s_rows, r_rows, a_rows, t_rows in row_blocks(states, real, a2, theta, rows=rows):
         u = _orthogonal_unit_rows(complex_normals(r_rows.shape, g, r_rows), s_rows)
         u *= np.sqrt(1.0 - a_rows)[:, None]
         u += (np.sqrt(a_rows) * np.exp(1j * t_rows))[:, None] * s_rows

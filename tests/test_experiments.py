@@ -340,11 +340,11 @@ def _traced_peak(kernel, d, param, f, n):
 
 def test_batch_kernels_peak_under_their_stated_bytes():
     # the bounds of the kernels' docstrings; a whole-run temporary breaks
-    # them, and so does a single-copy block of 4x the matrices or counted in
-    # trials at d=33
+    # them, and so does a block counted in trials at d=33, or a single-copy
+    # block of 4x the matrices
     for n, d in [(20_000, 8), (5_000, 33)]:
-        big = min(n, linalg.ROW_BLOCK)
-        b = min(big, max(1, 16 * linalg.ROW_BLOCK // d**2))
+        big = min(n, linalg.ROW_BLOCK, max(1, 8 * linalg.ROW_BLOCK // d))
+        b = min(n, linalg.ROW_BLOCK, max(1, 16 * linalg.ROW_BLOCK // d**2))
         multicopy = 40 * n * d + 40 * n + 36 * d * big + 192 * 1024
         singlecopy = 8 * n * d * d + 32 * n * d + 8 * n + 80 * b * d * d + 96 * b * d + 16 * 1024
         assert _traced_peak(ex._multicopy_w_batch, d, 16, 0.5, n) <= multicopy
